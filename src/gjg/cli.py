@@ -24,6 +24,10 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 
 
+class _ConfigError(GJGError):
+    """Bad settings from the environment or the sweep bounds (exit 3)."""
+
+
 def _parse_set(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
@@ -45,7 +49,7 @@ def _budget(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise GJGError(f"GJG_MAX_VERTICES must be an integer, got {env!r}")
+            raise _ConfigError(f"GJG_MAX_VERTICES must be an integer, got {env!r}")
     return oracle.DEFAULT_VERTEX_BUDGET
 
 
@@ -156,12 +160,11 @@ def cmd_verify(args) -> int:
     try:
         cfg = SweepConfig(
             v_max=args.v_max,
-            max_vertices=args.max_vertices if args.max_vertices is not None else _budget(args),
+            max_vertices=_budget(args),
             jobs=args.jobs if args.jobs is not None else 1,
         )
-    except (ValueError, GJGError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise _ConfigError(str(exc))
     if not sweep_triples(cfg):
         print("warning: nothing verified (no triple fits the vertex budget)", file=sys.stderr)
         return EXIT_CONFIG
@@ -236,6 +239,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except GJGError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

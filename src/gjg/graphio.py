@@ -11,8 +11,6 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
 from .errors import InvalidSet, OutOfRange
 from .params import Parameters
 
@@ -57,12 +55,9 @@ def unrank(p: Parameters, r: int) -> tuple[int, ...]:
 
 
 def _undirected_edges(g: "ExplicitGraph") -> Iterable[tuple[int, int]]:
-    # Rows are rank-ordered with ascending neighbor lists, so emitting
-    # (u, w) for w > u walks edges in (u, w)-lexicographic order.
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        for w in nbrs[np.searchsorted(nbrs, u + 1):]:
-            yield u, int(w)
+    # edge_blocks walks edges with u < w in (u, w)-lexicographic order.
+    for us, ws in g.edge_blocks():
+        yield from zip(us.tolist(), ws.tolist())
 
 
 def export_graph(g: "ExplicitGraph", format: str) -> bytes:
@@ -75,8 +70,7 @@ def export_graph(g: "ExplicitGraph", format: str) -> bytes:
     if fmt == "edgelist":
         lines = [f"{u} {w}\n" for u, w in _undirected_edges(g)]
     elif fmt == "dimacs":
-        m = int(g.indptr[-1]) // 2
-        lines = [f"p edge {g.n} {m}\n"]
+        lines = [f"p edge {g.n} {g.edge_count}\n"]
         lines += [f"e {u + 1} {w + 1}\n" for u, w in _undirected_edges(g)]
     else:
         raise ValueError(f"unknown format {format!r}; expected 'edgelist' or 'dimacs'")

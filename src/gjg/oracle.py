@@ -3,8 +3,9 @@
 Nothing here consults the closed-form module; girth, odd girth, diameter,
 and distances come from BFS on an explicitly materialized graph.  Vertices
 are bitmasks over ground sets of at most 64 elements, enumerated in colex
-rank order; adjacency is a pairwise intersection-size test, computed as an
-indicator-matrix product (exact in float32 for counts up to 64).
+rank order.  Adjacency is one packed bit matrix: row u has bit w set when
+the mask popcount |S_u ∩ S_w| equals i, and every search works on it
+directly, a BFS level being the OR of the frontier's rows.
 
 Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -30,31 +32,29 @@ MAX_GROUND_SET = 64
 
 INFINITE = math.inf
 
+_SLAB = 1 << 16  # elements per vectorized step: mask pairs, or bytes of packed rows
+
 
 @dataclass
 class ExplicitGraph:
-    """Materialized graph in CSR form; immutable after construction.
+    """Materialized graph as packed adjacency bit rows.
 
-    Rows follow colex rank order and each neighbor list is ascending.
-    When the family's full intersection-size matrix fits in memory it is
-    kept alongside the CSR arrays; searches on dense graphs then scan its
-    rows instead of gathering ragged neighbor lists.  BFS distance arrays
-    are memoized per source, so repeated queries share work.
+    Rows follow colex rank order.  ``adj`` is (n, ceil(n/8)) uint8 in
+    ``np.packbits`` order: bit w of row u is set when u and w are adjacent.
+    The only state that changes after ``build_graph`` returns is the BFS
+    memo, which maps a source to its distance array.
     """
 
     params: Parameters
     n: int
-    indptr: np.ndarray    # int64, length n + 1
-    indices: np.ndarray   # int32, concatenated neighbor lists
+    adj: np.ndarray       # (n, ceil(n/8)) uint8 packed adjacency rows
     masks: np.ndarray     # uint64 bitmask per vertex
     elements: np.ndarray  # (n, k) int8, sorted elements per vertex
-    inter: np.ndarray | None = None  # (n, n) uint8 pairwise intersection sizes
     _dist_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _source_ranks: list[int] = field(default_factory=list, repr=False)
-    _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+        """Ascending ranks of u's neighbors."""
+        return _unpacked(self.adj[u], self.n)
 
     @property
     def degree(self) -> int:
@@ -67,25 +67,25 @@ class ExplicitGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.indptr[-1]) // 2
+        # build_graph has checked that every row holds degree bits.
+        return self.n * self.degree // 2
 
-    @property
-    def _dense(self) -> bool:
-        # Row scans cost n per frontier vertex, CSR gathers several words
-        # per edge; the matrix wins once degree is a decent fraction of n.
-        # Graphs with i = k keep self-intersections on the matrix diagonal,
-        # so they always take the loop-free CSR path.
-        return (
-            self.inter is not None
-            and self.params.i < self.params.k
-            and self.degree * 8 >= self.n
-        )
+    def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Edges as (us, ws) array pairs with u < w, in (u, w) order, one
+        slab of rows at a time; only the nonzero bytes are unpacked."""
+        step = max(1, _SLAB // self.n)
+        for r0 in range(0, self.n, step):
+            slab = self.adj[r0 : r0 + step]
+            rows, cols = np.nonzero(slab)
+            nz, bit = np.nonzero(np.unpackbits(slab[rows, cols][:, None], axis=1))
+            us = rows[nz] + r0
+            ws = cols[nz] * 8 + bit
+            keep = ws > us
+            yield us[keep], ws[keep]
 
 
-# One cached family per (v, k): subset table plus (when it fits) the full
-# matrix of pairwise intersection sizes, shared by every i.
+# One cached family per (v, k): subset table and masks, shared by every i.
 _FAMILY: dict = {}
-_INTER_CACHE_LIMIT = 450_000_000  # bytes of n*n uint8 worth keeping resident
 
 
 def _colex_elements(v: int, k: int) -> np.ndarray:
@@ -93,11 +93,10 @@ def _colex_elements(v: int, k: int) -> np.ndarray:
     return np.array(subs, dtype=np.int8).reshape(len(subs), k)
 
 
-def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    key = (v, k)
-    if key in _FAMILY:
-        return _FAMILY[key]
-    _FAMILY.clear()  # keep at most one family resident; they can be large
+def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    fam = _FAMILY.get((v, k))
+    if fam is not None:
+        return fam
     elems = _colex_elements(v, k)
     n = elems.shape[0]
     # The generator must agree with graphio's combinadic rank on every row.
@@ -109,22 +108,14 @@ def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
             raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
     masks = (np.left_shift(np.uint64(1), elems.astype(np.uint64))).sum(axis=1, dtype=np.uint64) \
         if k > 0 else np.zeros(n, dtype=np.uint64)
-    indicator = np.zeros((n, v), dtype=np.float32)
-    if k > 0:
-        indicator[np.arange(n)[:, None], elems.astype(np.int64)] = 1.0
-    inter = None
-    if n * n <= _INTER_CACHE_LIMIT:
-        inter = np.empty((n, n), dtype=np.uint8)
-        block = max(1, 8_000_000 // max(n, 1))
-        for r0 in range(0, n, block):
-            r1 = min(n, r0 + block)
-            inter[r0:r1] = (indicator[r0:r1] @ indicator.T).astype(np.uint8)
-    _FAMILY[key] = (elems, masks, indicator, inter)
-    return _FAMILY[key]
+    fam = (elems, masks)
+    _FAMILY.clear()  # keep at most one family resident; they can be large
+    _FAMILY[(v, k)] = fam
+    return fam
 
 
 def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ExplicitGraph:
-    """Materialize J(v,k,i): all C(v,k) vertices plus CSR adjacency.
+    """Materialize J(v,k,i): all C(v,k) vertices plus packed adjacency rows.
 
     Raises BudgetExceeded when C(v,k) > vertex_budget and Unsupported for
     ground sets beyond 64 elements (vertices are 64-bit masks).
@@ -134,59 +125,34 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     n = math.comb(p.v, p.k)
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
-    elems, masks, indicator, inter = _family(p.v, p.k)
-    parts: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    block = max(1, 8_000_000 // max(n, 1))
-    for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        if inter is not None:
-            hit = inter[r0:r1] == np.uint8(p.i)
-        else:
-            hit = (indicator[r0:r1] @ indicator.T) == np.float32(p.i)
+    elems, masks = _family(p.v, p.k)
+    adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    step = max(1, _SLAB // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        hit = np.bitwise_count(masks[r0:r1, None] & masks) == p.i
         if p.i == p.k:  # self-intersection is k; the graph stays loop-free
             hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
-        rows, cols = np.nonzero(hit)
-        parts.append(cols.astype(np.int32))
-        counts.append(np.bincount(rows, minlength=r1 - r0).astype(np.int64))
-    deg = np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
-    g = ExplicitGraph(p, n, indptr, indices, masks, elems, inter)
-    expected = g.degree
-    if not np.all(deg == expected):
-        raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {expected}")
+        adj[r0:r1] = np.packbits(hit, axis=1)
+    g = ExplicitGraph(p, n, adj, masks, elems)
+    deg = np.bitwise_count(adj).sum(axis=1)
+    if not np.all(deg == g.degree):
+        raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
     return g
 
 
-_ROW_CHUNK = 2048       # dense scans: frontier rows per matrix slab
-_EDGE_CHUNK = 4_000_000  # sparse scans: gathered neighbor entries per slab
+def _reach(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Packed union of the given adjacency rows (every neighbor of rows)."""
+    out = np.zeros(adj.shape[1], dtype=np.uint8)
+    step = max(1, _SLAB // adj.shape[1])
+    for c0 in range(0, rows.size, step):
+        out |= np.bitwise_or.reduce(adj[rows[c0 : c0 + step]], axis=0)
+    return out
 
 
-def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """All neighbor entries of the frontier vertices, concatenated (flat gather
-    over the CSR ragged rows, no per-vertex Python loop)."""
-    starts = indptr[frontier]
-    lens = indptr[frontier + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.repeat(starts, lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    return indices[offsets + within].astype(np.int64)
-
-
-def _dense_frontier_hits(g: ExplicitGraph, frontier: np.ndarray) -> np.ndarray:
-    """Boolean vector marking every neighbor of the frontier (matrix rows)."""
-    want = np.uint8(g.params.i)
-    hit = np.zeros(g.n, dtype=bool)
-    for c0 in range(0, frontier.size, _ROW_CHUNK):
-        rows = frontier[c0 : c0 + _ROW_CHUNK]
-        hit |= (g.inter[rows] == want).any(axis=0)
-    return hit
+def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
+    """Vertex ranks whose bits are set, ascending."""
+    return np.flatnonzero(np.unpackbits(bits, count=n))
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
@@ -197,23 +163,10 @@ def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
     dist = np.full(g.n, -1, dtype=np.int32)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    dense = g._dense
-    fresh_mask = np.zeros(g.n, dtype=bool)
     level = 0
     while frontier.size:
         level += 1
-        if dense:
-            hit = _dense_frontier_hits(g, frontier)
-            hit &= dist < 0
-            frontier = np.nonzero(hit)[0]
-        else:
-            cand = _gather(g.indptr, g.indices, frontier)
-            cand = cand[dist[cand] < 0]
-            fresh_mask[cand] = True
-            frontier = np.nonzero(fresh_mask)[0]
-            fresh_mask[frontier] = False
-        if frontier.size == 0:
-            break
+        frontier = _unpacked(_reach(g.adj, frontier) & ~np.packbits(dist >= 0), g.n)
         dist[frontier] = level
     g._dist_cache[source] = dist
     return dist
@@ -225,129 +178,88 @@ def _local_girth(g: ExplicitGraph, source: int) -> int | None:
     Two candidate families close cycles through the root: an edge inside
     level t (cycle length 2t+1), and a level-t vertex with two or more
     neighbors in level t-1 (length 2t; a single back-neighbor is just the
-    spanning-tree edge).  Candidates from level t or beyond are at least
-    2t long, so the scan stops as soon as the best found can no longer be
-    beaten; graphs here have girth at most 6, which keeps this shallow.
+    spanning-tree edge).  Candidates from later levels are longer, so the
+    first level with a candidate decides, an even one beating an odd one.
     """
     dist = bfs_distances(g, source)
-    best: int | None = None
-    dense = g._dense
-    want = np.uint8(g.params.i)
+    step = max(1, _SLAB // g.adj.shape[1])
     for t in range(1, int(dist.max()) + 1):
-        if best is not None and best <= 2 * t:
-            break
-        rows = np.nonzero(dist == t)[0]
-        same_mask = dist == t
-        prev_mask = dist == t - 1
-        found_cross = False
-        found_same = False
-        if dense:
-            for c0 in range(0, rows.size, _ROW_CHUNK):
-                blk = g.inter[rows[c0 : c0 + _ROW_CHUNK]] == want
-                if not found_cross and (blk[:, prev_mask].sum(axis=1) >= 2).any():
-                    found_cross = True
-                    break  # 2t is the floor for this and all later levels
-                if not found_same and blk[:, same_mask].any():
-                    found_same = True
-        else:
-            per = max(1, _EDGE_CHUNK // max(g.degree, 1))
-            for c0 in range(0, rows.size, per):
-                chunk = rows[c0 : c0 + per]
-                lens = (g.indptr[chunk + 1] - g.indptr[chunk]).astype(np.int64)
-                ws = _gather(g.indptr, g.indices, chunk)
-                dw = dist[ws]
-                if not found_cross:
-                    row_ids = np.repeat(np.arange(chunk.size), lens)
-                    back = np.bincount(row_ids[dw == t - 1], minlength=chunk.size)
-                    if (back >= 2).any():
-                        found_cross = True
-                        break
-                if not found_same and (dw == t).any():
-                    found_same = True
-        if found_cross:
-            best = 2 * t if best is None else min(best, 2 * t)
-            break
-        if found_same:
-            cand = 2 * t + 1
-            best = cand if best is None else min(best, cand)
-    return best
+        rows = np.flatnonzero(dist == t)
+        prev = np.packbits(dist == t - 1)
+        same = np.packbits(dist == t)
+        odd = False
+        for c0 in range(0, rows.size, step):
+            blk = g.adj[rows[c0 : c0 + step]]
+            if (np.bitwise_count(blk & prev).sum(axis=1) >= 2).any():
+                return 2 * t
+            odd = odd or bool((blk & same).any())
+        if odd:
+            return 2 * t + 1
+    return None
 
 
 def _local_odd_girth(g: ExplicitGraph, source: int) -> int | None:
     """Minimum odd closed-walk length through source: BFS on the bipartite
     double cover from the source's even copy until its odd copy appears.
 
-    Before expanding each level the source's column is probed, so the walk
-    length is reported without materializing the final frontier.
+    Before expanding each odd level the source's column is probed, so the
+    walk length is reported without materializing the final frontier.
     """
-    seen_even = np.zeros(g.n, dtype=bool)
-    seen_odd = np.zeros(g.n, dtype=bool)
-    seen_even[source] = True
+    even = np.packbits(np.arange(g.n) == source)
+    seen = [even, np.zeros_like(even)]  # packed vertex sets, by walk-length parity
+    byte, bit = source >> 3, np.uint8(0x80 >> (source & 7))
     frontier = np.array([source], dtype=np.int64)
-    dense = g._dense
     level = 0
     while frontier.size:
         level += 1
-        odd_side = level % 2 == 1
-        seen = seen_odd if odd_side else seen_even
-        if dense:
-            if odd_side and (g.inter[frontier, source] == np.uint8(g.params.i)).any():
-                return level
-            hit = _dense_frontier_hits(g, frontier)
-            hit &= ~seen
-            frontier = np.nonzero(hit)[0]
-            seen[frontier] = True
-        else:
-            fresh_mask = np.zeros(g.n, dtype=bool)
-            per = max(1, _EDGE_CHUNK // max(g.degree, 1))
-            for c0 in range(0, frontier.size, per):
-                cand = _gather(g.indptr, g.indices, frontier[c0 : c0 + per])
-                if odd_side and np.any(cand == source):
-                    return level
-                fresh_mask[cand[~seen[cand]]] = True
-            frontier = np.nonzero(fresh_mask)[0]
-            seen[frontier] = True
+        if level % 2 and (g.adj[frontier, byte] & bit).any():
+            return level
+        fresh = _reach(g.adj, frontier) & ~seen[level % 2]
+        seen[level % 2] |= fresh
+        frontier = _unpacked(fresh, g.n)
     return None
 
 
-def _sources(g: ExplicitGraph, count: int) -> list[int]:
-    """Canonical vertex plus count-1 seeded-random distinct extras."""
-    if g._rng is None:
-        g._rng = np.random.default_rng([g.params.v, g.params.k, g.params.i, 1811])
-        g._source_ranks = [0]
-    while len(g._source_ranks) < min(count, g.n):
-        r = int(g._rng.integers(g.n))
-        if r not in g._source_ranks:
-            g._source_ranks.append(r)
-    return g._source_ranks[: min(count, g.n)]
+def _sources(v: int, k: int, i: int, n: int, count: int) -> list[int]:
+    """Canonical vertex 0 plus count-1 seeded-random distinct extras; a pure
+    function, so a shorter request is a prefix of a longer one."""
+    rng = np.random.default_rng([v, k, i, 1811])
+    ranks = [0]
+    while len(ranks) < min(count, n):
+        r = int(rng.integers(n))
+        if r not in ranks:
+            ranks.append(r)
+    return ranks[: min(count, n)]
 
 
 def _eccentricity(dist: np.ndarray) -> int | float:
     return INFINITE if (dist < 0).any() else int(dist.max())
 
 
+def _agreed(g: ExplicitGraph, cross_checks: int, what: str, measure):
+    """measure(source) from the canonical vertex and cross_checks extra
+    sources, which vertex transitivity says must agree."""
+    p = g.params
+    values = [measure(s) for s in _sources(p.v, p.k, p.i, g.n, 1 + cross_checks)]
+    if any(val != values[0] for val in values):
+        raise AssertionError(f"{p}: per-source {what} disagrees: {values}")
+    return values[0]
+
+
 def oracle_girth(g: ExplicitGraph, cross_checks: int = 3) -> int | None:
     """Measured girth (None when acyclic), checked from extra random sources."""
-    values = [_local_girth(g, s) for s in _sources(g, 1 + cross_checks)]
-    if any(val != values[0] for val in values):
-        raise AssertionError(f"{g.params}: per-source girth disagrees: {values}")
-    return values[0]
+    return _agreed(g, cross_checks, "girth", lambda s: _local_girth(g, s))
 
 
 def oracle_odd_girth(g: ExplicitGraph, cross_checks: int = 3) -> int | None:
     """Measured odd girth via the double cover (None when bipartite)."""
-    values = [_local_odd_girth(g, s) for s in _sources(g, 1 + cross_checks)]
-    if any(val != values[0] for val in values):
-        raise AssertionError(f"{g.params}: per-source odd girth disagrees: {values}")
-    return values[0]
+    return _agreed(g, cross_checks, "odd girth", lambda s: _local_odd_girth(g, s))
 
 
 def oracle_diameter(g: ExplicitGraph, cross_checks: int = 3) -> int | float:
     """Eccentricity of the canonical vertex; math.inf when disconnected."""
-    values = [_eccentricity(bfs_distances(g, s)) for s in _sources(g, 1 + cross_checks)]
-    if any(val != values[0] for val in values):
-        raise AssertionError(f"{g.params}: per-source eccentricity disagrees: {values}")
-    return values[0]
+    return _agreed(g, cross_checks, "eccentricity",
+                   lambda s: _eccentricity(bfs_distances(g, s)))
 
 
 def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:

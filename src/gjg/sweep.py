@@ -95,17 +95,17 @@ def _ceil_div_arr(a: np.ndarray, b: int) -> np.ndarray:
     return -((-a) // b)
 
 
-def _measured_profile(dist: np.ndarray, inter: np.ndarray, p: Parameters) -> dict[int, int | float]:
+def _measured_profile(dist: np.ndarray, overlap: np.ndarray, p: Parameters) -> dict[int, int | float]:
     profile: dict[int, int | float] = {}
     for x in intersection_range(p):
-        ds = np.unique(dist[inter == x])
+        ds = np.unique(dist[overlap == x])
         if ds.size != 1:
             raise AssertionError(f"distance not a function of x={x}: {ds.tolist()}")
         profile[x] = INFINITE if ds[0] < 0 else int(ds[0])
     return profile
 
 
-def _check_lower_bound(res: TripleResult, p: Parameters, dist: np.ndarray, inter: np.ndarray) -> None:
+def _check_lower_bound(res: TripleResult, p: Parameters, dist: np.ndarray, overlap: np.ndarray) -> None:
     """Path-length lower bounds along every BFS tree: a shortest path of
     length 2p needs p >= ceil((k-x)/delta), of length 2p+1 needs
     p >= ceil((x-i)/delta)."""
@@ -114,7 +114,7 @@ def _check_lower_bound(res: TripleResult, p: Parameters, dist: np.ndarray, inter
         return
     reach = dist >= 0
     dd = dist[reach].astype(np.int64)
-    xx = inter[reach].astype(np.int64)
+    xx = overlap[reach].astype(np.int64)
     even = dd % 2 == 0
     p_even = dd[even] // 2
     p_odd = (dd[~even] - 1) // 2
@@ -255,10 +255,10 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
         thin = [s for x, s in class_sizes.items() if x != p.k and 0 < s]
         if thin and min(thin) * 3 < MIN_PAIR_SAMPLES:
             want_sources = min(n, MIN_PAIR_SAMPLES)
-    sources = oracle._sources(g, want_sources)
+    sources = oracle._sources(p.v, p.k, p.i, n, want_sources)
 
     dists = {s: oracle.bfs_distances(g, s) for s in sources}
-    inters = {s: oracle.intersection_with(g, s) for s in sources}
+    overlaps = {s: oracle.intersection_with(g, s) for s in sources}
 
     # Formula versus measured invariants (canonical source), then identical
     # measurements from 3 extra random sources (vertex transitivity).  The
@@ -272,7 +272,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
         _fail(res, "transitivity", str(exc))
         return
 
-    profile = _measured_profile(dists[sources[0]], inters[sources[0]], p)
+    profile = _measured_profile(dists[sources[0]], overlaps[sources[0]], p)
     res.oracle_girth, res.oracle_odd_girth = o_girth, o_og
     res.oracle_diameter, res.oracle_profile = o_diam, profile
 
@@ -297,7 +297,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     # Sampled pairs: each (source, vertex) pair is one sample for its class.
     pair_counts = dict.fromkeys(intersection_range(p), 0)
     for s in sources:
-        sp = _measured_profile(dists[s], inters[s], p)
+        sp = _measured_profile(dists[s], overlaps[s], p)
         if sp != profile:
             _fail(res, "pair_sampling", f"profile from source {s} differs")
         for x, size in class_sizes.items():
@@ -311,7 +311,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
             _fail(res, "pair_sampling", f"x={x}: only {pair_counts[x]} sampled pairs")
 
     for s in sources:
-        _check_lower_bound(res, p, dists[s], inters[s])
+        _check_lower_bound(res, p, dists[s], overlaps[s])
 
     # Distance-2 criterion: beyond adjacency, two vertices are at distance
     # exactly 2 iff they have a common neighbor.
@@ -326,10 +326,11 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
 
     if p.graph_class is GraphClass.MATCHING:
         _tally(res, "matching")
-        if not np.all(g.indptr[1:] - g.indptr[:-1] == 1):
+        nbrs = [g.neighbors(u) for u in range(n)]
+        if any(a.size != 1 for a in nbrs):
             _fail(res, "matching", "not 1-regular")
         else:
-            partner = g.indices[g.indptr[:-1]]  # sole neighbor of each vertex
+            partner = np.concatenate(nbrs)  # sole neighbor of each vertex
             if not np.array_equal(partner[partner], np.arange(n)):
                 _fail(res, "matching", "pairing is not an involution")
         if p.k >= 2 and rep.diameter != INFINITE:

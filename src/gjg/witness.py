@@ -211,7 +211,8 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
                 path.append(B)
 
     expected = distance_by_intersection(p, x)
-    assert len(path) - 1 == expected, f"route of length {len(path) - 1}, distance {expected}"
+    if len(path) - 1 != expected:
+        raise AssertionError(f"route of length {len(path) - 1}, distance {expected}")
     return Walk(tuple(path), WalkKind.PATH, len(path) - 1)
 
 
@@ -275,7 +276,8 @@ def shortest_cycle(p: Parameters) -> Walk:
 
     cyc.append(cyc[0])
     w = Walk(tuple(cyc), WalkKind.CYCLE, len(cyc) - 1)
-    assert verify_walk(p, w), f"shortest_cycle built an invalid cycle for {p}"
+    if not verify_walk(p, w):
+        raise AssertionError(f"shortest_cycle built an invalid cycle for {p}")
     return w
 
 
@@ -298,7 +300,8 @@ def odd_closed_walk(p: Parameters) -> Walk:
     if girth(p) == 3:
         tri = shortest_cycle(p)
         walk = Walk(tri.vertices, WalkKind.CLOSED_WALK, tri.claimed_length)
-        assert verify_walk(p, walk)
+        if not verify_walk(p, walk):
+            raise AssertionError(f"odd_closed_walk built an invalid triangle for {p}")
         return walk
 
     if p.graph_class is GraphClass.ODD_GRAPH:
@@ -331,12 +334,16 @@ def odd_closed_walk(p: Parameters) -> Walk:
         apex = as_vertex_set(p, only_a[:take_a] + only_b[:take_b] + core)
         leg_a = geodesic(p, A, apex)
         leg_b = geodesic(p, B, apex)
-        assert leg_a.claimed_length == leg_b.claimed_length == r
+        if not leg_a.claimed_length == leg_b.claimed_length == r:
+            raise AssertionError(f"legs of length {leg_a.claimed_length} and "
+                                 f"{leg_b.claimed_length}, expected {r}")
         vertices = leg_a.vertices + tuple(reversed(leg_b.vertices))[1:] + (A,)
 
     walk = Walk(vertices, WalkKind.CLOSED_WALK, len(vertices) - 1)
-    assert walk.claimed_length == og, f"walk length {walk.claimed_length}, odd girth {og}"
-    assert verify_walk(p, walk), f"odd_closed_walk built an invalid walk for {p}"
+    if walk.claimed_length != og:
+        raise AssertionError(f"walk length {walk.claimed_length}, odd girth {og}")
+    if not verify_walk(p, walk):
+        raise AssertionError(f"odd_closed_walk built an invalid walk for {p}")
     return walk
 
 

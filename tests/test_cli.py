@@ -157,6 +157,13 @@ class TestExport:
         assert code == 1
         assert "budget" in err
 
+    def test_bad_env_budget_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("GJG_MAX_VERTICES", "abc")
+        code, out, err = run(capsys, "export", "--v", "5", "--k", "2", "--i", "0",
+                             "--format", "edgelist")
+        assert code == 3
+        assert out == "" and "GJG_MAX_VERTICES" in err
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -175,6 +182,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--v-max", "100")
         assert code == 3
         assert "error" in err
+
+    def test_bad_env_budget_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("GJG_MAX_VERTICES", "abc")
+        code, out, err = run(capsys, "verify", "--v-max", "4")
+        assert code == 3
+        assert out == "" and "GJG_MAX_VERTICES" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--v-max", "4")

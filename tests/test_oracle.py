@@ -1,11 +1,16 @@
 import math
+import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
-import numpy as np
 import pytest
 
 from gjg.errors import BudgetExceeded, OutOfRange, Unsupported
 from gjg.formulas import INFINITE
+from gjg.graphio import rank
 from gjg.oracle import (
+    _sources,
     bfs_distances,
     build_graph,
     oracle_diameter,
@@ -60,8 +65,44 @@ class TestBuildGraph:
             p = P(*t)
             g = build_graph(p)
             want = math.comb(p.k, p.i) * math.comb(p.v - p.k, p.k - p.i)
-            degs = np.diff(g.indptr)
-            assert np.all(degs == want)
+            degs = [g.neighbors(u).size for u in range(g.n)]
+            assert degs == [want] * g.n
+
+
+def _reference(p):
+    """Adjacency lists, all-pairs BFS distances, girth and odd girth of
+    J(v,k,i) in pure Python, straight from the definition |A ∩ B| = i."""
+    sets = [set(s) for s in sorted(combinations(range(p.v), p.k), key=lambda s: rank(p, s))]
+    n = len(sets)
+    adj = [[w for w in range(n) if w != u and len(sets[u] & sets[w]) == p.i]
+           for u in range(n)]
+
+    def bfs(start, step):
+        dist, parent = {start: 0}, {start: None}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in step(x):
+                if y not in dist:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+        return dist, parent
+
+    dists = []
+    girth = odd_girth = None
+    for s in range(n):
+        d, parent = bfs(s, lambda u: adj[u])
+        dists.append([d.get(u, -1) for u in range(n)])
+        # A non-tree edge closes a cycle of length at most d[u] + d[w] + 1,
+        # with equality from a root on a shortest cycle.
+        for u in d:
+            for w in adj[u]:
+                if parent[u] != w and parent[w] != u:
+                    girth = min(girth or n + 1, d[u] + d[w] + 1)
+        cover, _ = bfs((s, 0), lambda node: [(w, 1 - node[1]) for w in adj[node[0]]])
+        if (s, 1) in cover:
+            odd_girth = min(odd_girth or n + 1, cover[(s, 1)])
+    return adj, dists, girth, odd_girth
 
 
 class TestMeasurements:
@@ -105,20 +146,53 @@ class TestMeasurements:
         with pytest.raises(OutOfRange):
             oracle_distance(g, 3)
 
-    def test_dense_and_sparse_paths_agree(self):
-        # J(8,4,2) is dense enough for matrix scans; force the CSR path
-        # on an identical copy and compare everything.
-        p = P(8, 4, 2)
-        g = build_graph(p)
-        assert g._dense
-        sparse = build_graph(p)
-        sparse.inter = None  # forces CSR BFS/girth/odd-girth
-        assert not sparse._dense
-        assert oracle_girth(g) == oracle_girth(sparse)
-        assert oracle_odd_girth(g) == oracle_odd_girth(sparse)
-        assert oracle_diameter(g) == oracle_diameter(sparse)
-        for s in (0, 17, g.n - 1):
-            assert np.array_equal(bfs_distances(g, s), bfs_distances(sparse, s))
+    def test_bit_rows_match_pure_python_reference(self):
+        for t in [
+            (8, 4, 2),  # dense
+            (5, 2, 0),  # Kneser graph, n = 10 is not a multiple of 8
+            (7, 3, 0),  # odd graph
+            (6, 3, 0),  # matching
+            (4, 2, 2),  # i = k: every self-intersection is excluded as a loop
+        ]:
+            p = P(*t)
+            adj, dists, girth, odd_girth = _reference(p)
+            g = build_graph(p)
+            assert [g.neighbors(u).tolist() for u in range(g.n)] == adj, t
+            assert [bfs_distances(g, s).tolist() for s in range(g.n)] == dists, t
+            assert oracle_girth(g) == girth, t
+            assert oracle_odd_girth(g) == odd_girth, t
+            assert g.edge_count == sum(map(len, adj)) // 2, t
+
+
+def test_sources_are_a_pure_function_of_the_triple():
+    # Ranks drawn by the seeded generator; sweep tallies depend on them.
+    ten = [0, 20, 16, 74, 43, 15, 121, 63, 98, 116]
+    assert _sources(9, 4, 1, math.comb(9, 4), 10) == ten
+    assert _sources(9, 4, 1, math.comb(9, 4), 4) == ten[:4]
+    assert _sources(9, 4, 1, math.comb(9, 4), 10) == ten
+
+
+def test_concurrent_builds_across_families():
+    # Threads alternate between two (v,k) families, so each build evicts
+    # the family another thread may be reading.
+    triples = [(9, 4, 1), (10, 3, 1)]
+
+    def measure(t):
+        g = build_graph(P(*t))
+        srcs = _sources(*t, g.n, 6)
+        return srcs, [bfs_distances(g, s).tolist() for s in srcs], oracle_girth(g)
+
+    want = {t: measure(t) for t in triples}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda j: (triples[j % 2], measure(triples[j % 2])),
+                                range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for t, result in got:
+        assert result == want[t]
 
 
 def test_oracle_is_independent_of_closed_forms():

@@ -253,3 +253,20 @@ def test_geodesic_on_arbitrary_pairs(triple, rnd):
     assert verify_walk(p, w)
     assert w.claimed_length == distance_by_intersection(p, len(set(a) & set(b)))
     assert w.vertices[0] == a and w.vertices[-1] == b
+
+
+def test_library_has_no_bare_asserts():
+    # Invariant checks in library code must survive python -O, so they
+    # raise explicitly instead of using assert statements.
+    import ast
+    import pathlib
+
+    import gjg
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(gjg.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
