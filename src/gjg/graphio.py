@@ -9,7 +9,9 @@ consumers can reproduce ranks from this formula alone.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .errors import InvalidSet, OutOfRange
 from .params import Parameters
@@ -19,6 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .oracle import ExplicitGraph, OracleReport
 
 REPORT_SCHEMA = "gjg.report/1"
+
+_PAD = 0  # filler in the label tables; never a byte of an ASCII payload
+_BLOCK = 1 << 16  # edges encoded per step
 
 
 def _checked_subset(p: Parameters, s: Sequence[int]) -> tuple[int, ...]:
@@ -54,27 +59,64 @@ def unrank(p: Parameters, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _undirected_edges(g: "ExplicitGraph") -> Iterable[tuple[int, int]]:
-    # edge_blocks walks edges with u < w in (u, w)-lexicographic order.
+def _undirected_edges(g: "ExplicitGraph") -> np.ndarray:
+    """Every edge as one (m, 2) int32 array of (u, w) rows with u < w, in
+    (u, w) order; iterating it gives the pairs."""
+    edges = np.empty((g.edge_count, 2), dtype=np.int32)
+    m = 0
     for us, ws in g.edge_blocks():
-        yield from zip(us.tolist(), ws.tolist())
+        edges[m : m + us.size, 0] = us
+        edges[m : m + us.size, 1] = ws
+        m += us.size
+    return edges
+
+
+def _label_table(n: int, offset: int, head: bytes, tail: bytes) -> np.ndarray:
+    """Row r spells head, then the decimal digits of r + offset right-aligned
+    behind leading _PAD bytes, then tail: (n, fixed width) ASCII uint8."""
+    top = n - 1 + offset
+    labels = np.arange(offset, top + 1)[:, None]
+    scale = 10 ** np.arange(len(str(top)) - 1, -1, -1)
+    digits = (labels // scale % 10 + ord("0")).astype(np.uint8)
+    digits[(labels < scale) & (scale > 1)] = _PAD
+    fixed = lambda b: np.broadcast_to(np.frombuffer(b, dtype=np.uint8), (n, len(b)))
+    return np.hstack((fixed(head), digits, fixed(tail)))
+
+
+def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list[np.ndarray]:
+    """One ASCII line per (u, w) row (prefix, u, space, w, newline), labels
+    shifted by offset, as one uint8 chunk per block of _BLOCK edges.
+
+    Each block gathers its u and w table rows into a fixed-width line
+    matrix; dropping the pad bytes with one mask leaves the lines back to
+    back.
+    """
+    first = _label_table(n, offset, prefix, b" ")
+    second = _label_table(n, offset, b"", b"\n")
+    chunks = []
+    for b0 in range(0, len(edges), _BLOCK):
+        blk = edges[b0 : b0 + _BLOCK]
+        line = np.hstack((first.take(blk[:, 0], axis=0), second.take(blk[:, 1], axis=0)))
+        chunks.append(line[line != _PAD])
+    return chunks
 
 
 def export_graph(g: "ExplicitGraph", format: str) -> bytes:
     """Serialize adjacency as 'edgelist' (0-based) or 'dimacs' (1-based).
 
     Output is byte-identical across runs: edges sorted by (u, w) with
-    u < w, every line newline-terminated.
+    u < w, every line newline-terminated.  Edges are encoded in bulk,
+    a block of them at a time with numpy, so no Python object is made per
+    edge and the memory needed is a small multiple of the payload.
     """
     fmt = format.lower()
-    if fmt == "edgelist":
-        lines = [f"{u} {w}\n" for u, w in _undirected_edges(g)]
-    elif fmt == "dimacs":
-        lines = [f"p edge {g.n} {g.edge_count}\n"]
-        lines += [f"e {u + 1} {w + 1}\n" for u, w in _undirected_edges(g)]
-    else:
+    if fmt not in ("edgelist", "dimacs"):
         raise ValueError(f"unknown format {format!r}; expected 'edgelist' or 'dimacs'")
-    return "".join(lines).encode("ascii")
+    edges = np.asarray(_undirected_edges(g), dtype=np.int32).reshape(-1, 2)
+    if fmt == "edgelist":
+        return b"".join(_encode_edges(edges, g.n, 0, b""))
+    header = f"p edge {g.n} {g.edge_count}\n".encode("ascii")
+    return b"".join([header, *_encode_edges(edges, g.n, 1, b"e ")])
 
 
 def format_value(x) -> str:

@@ -41,6 +41,8 @@ class ExplicitGraph:
 
     Rows follow colex rank order.  ``adj`` is (n, ceil(n/8)) uint8 in
     ``np.packbits`` order: bit w of row u is set when u and w are adjacent.
+    ``masks`` holds vertex u's k-subset as a uint64 bitmask; it is the only
+    record of the subsets (``graphio.unrank`` spells one out).
     The only state that changes after ``build_graph`` returns is the BFS
     memo, which maps a source to its distance array.
     """
@@ -49,7 +51,6 @@ class ExplicitGraph:
     n: int
     adj: np.ndarray       # (n, ceil(n/8)) uint8 packed adjacency rows
     masks: np.ndarray     # uint64 bitmask per vertex
-    elements: np.ndarray  # (n, k) int8, sorted elements per vertex
     _dist_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def neighbors(self, u: int) -> np.ndarray:
@@ -72,11 +73,14 @@ class ExplicitGraph:
 
     def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Edges as (us, ws) array pairs with u < w, in (u, w) order, one
-        slab of rows at a time; only the nonzero bytes are unpacked."""
+        slab of rows at a time; only the nonzero bytes that hold a bit
+        right of the diagonal are unpacked."""
         step = max(1, _SLAB // self.n)
         for r0 in range(0, self.n, step):
             slab = self.adj[r0 : r0 + step]
             rows, cols = np.nonzero(slab)
+            upper = cols * 8 + 7 > rows + r0
+            rows, cols = rows[upper], cols[upper]
             nz, bit = np.nonzero(np.unpackbits(slab[rows, cols][:, None], axis=1))
             us = rows[nz] + r0
             ws = cols[nz] * 8 + bit
@@ -84,7 +88,7 @@ class ExplicitGraph:
             yield us[keep], ws[keep]
 
 
-# One cached family per (v, k): subset table and masks, shared by every i.
+# One cached family per (v, k): the vertex masks, shared by every i.
 _FAMILY: dict = {}
 
 
@@ -93,10 +97,10 @@ def _colex_elements(v: int, k: int) -> np.ndarray:
     return np.array(subs, dtype=np.int8).reshape(len(subs), k)
 
 
-def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    fam = _FAMILY.get((v, k))
-    if fam is not None:
-        return fam
+def _family(v: int, k: int) -> np.ndarray:
+    masks = _FAMILY.get((v, k))
+    if masks is not None:
+        return masks
     elems = _colex_elements(v, k)
     n = elems.shape[0]
     # The generator must agree with graphio's combinadic rank on every row.
@@ -108,10 +112,9 @@ def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
     masks = (np.left_shift(np.uint64(1), elems.astype(np.uint64))).sum(axis=1, dtype=np.uint64) \
         if k > 0 else np.zeros(n, dtype=np.uint64)
-    fam = (elems, masks)
     _FAMILY.clear()  # keep at most one family resident; they can be large
-    _FAMILY[(v, k)] = fam
-    return fam
+    _FAMILY[(v, k)] = masks
+    return masks
 
 
 def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ExplicitGraph:
@@ -125,7 +128,7 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     n = math.comb(p.v, p.k)
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
-    elems, masks = _family(p.v, p.k)
+    masks = _family(p.v, p.k)
     adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     step = max(1, _SLAB // n)
     for r0 in range(0, n, step):
@@ -134,7 +137,7 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
         if p.i == p.k:  # self-intersection is k; the graph stays loop-free
             hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
         adj[r0:r1] = np.packbits(hit, axis=1)
-    g = ExplicitGraph(p, n, adj, masks, elems)
+    g = ExplicitGraph(p, n, adj, masks)
     deg = np.bitwise_count(adj).sum(axis=1)
     if not np.all(deg == g.degree):
         raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")

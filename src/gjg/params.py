@@ -72,11 +72,12 @@ def _classify(v: int, k: int, i: int) -> GraphClass:
 def make_parameters(v: int, k: int, i: int) -> Parameters:
     """Validate and classify a triple.
 
-    Raises InvalidOrder unless v >= k >= i >= 0.  Degenerate triples
-    (k = i, v = k, or intersections forced above i) are accepted and
-    tagged rather than rejected, so callers can explain them.
+    Raises InvalidOrder unless v, k and i are integers (bools are not)
+    with v >= k >= i >= 0.  Degenerate triples (k = i, v = k, or
+    intersections forced above i) are accepted and tagged rather than
+    rejected, so callers can explain them.
     """
-    if not (isinstance(v, int) and isinstance(k, int) and isinstance(i, int)):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (v, k, i)):
         raise InvalidOrder(f"parameters must be integers, got ({v!r}, {k!r}, {i!r})")
     if not v >= k >= i >= 0:
         raise InvalidOrder(f"need v >= k >= i >= 0, got ({v}, {k}, {i})")

@@ -233,6 +233,22 @@ def check_triple(v: int, k: int, i: int, max_vertices: int = oracle.DEFAULT_VERT
     return res
 
 
+def _check_pairing(res: TripleResult, g: oracle.ExplicitGraph) -> None:
+    """A matching's adjacency rows: one bit each, partners an involution."""
+    n = g.n
+    # 1-regular: each row's largest byte holds one bit, and no other byte
+    # of adj is nonzero.
+    cols = g.adj.argmax(axis=1)
+    byte = g.adj[np.arange(n), cols]
+    if (np.bitwise_count(byte) != 1).any() or np.count_nonzero(g.adj) != n:
+        _fail(res, "matching", "not 1-regular")
+        return
+    # sole neighbor of each vertex: its byte's offset plus the bit's
+    partner = cols * 8 + np.unpackbits(byte[:, None], axis=1).argmax(axis=1)
+    if not np.array_equal(partner[partner], np.arange(n)):
+        _fail(res, "matching", "pairing is not an involution")
+
+
 def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     rep = invariant_report(p)
     g = oracle.build_graph(p, max_vertices)
@@ -326,13 +342,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
 
     if p.graph_class is GraphClass.MATCHING:
         _tally(res, "matching")
-        nbrs = [g.neighbors(u) for u in range(n)]
-        if any(a.size != 1 for a in nbrs):
-            _fail(res, "matching", "not 1-regular")
-        else:
-            partner = np.concatenate(nbrs)  # sole neighbor of each vertex
-            if not np.array_equal(partner[partner], np.arange(n)):
-                _fail(res, "matching", "pairing is not an involution")
+        _check_pairing(res, g)
         if p.k >= 2 and rep.diameter != INFINITE:
             _fail(res, "matching", "diameter should be infinite")
         if p.k >= 2 and not (dists[0] < 0).any():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -103,6 +104,31 @@ class TestExportGraph:
             g = build_graph(P(*t))
             lines = export_graph(g, "edgelist").decode().splitlines()
             assert len(lines) == g.n * g.degree // 2
+
+    # Labels cross a decimal width in 0-based or in 1-based form: n = 10
+    # (9 -> 10 only 1-based), 120 and 792 (99 -> 100 both ways), plus a
+    # graph without edges.
+    @pytest.mark.parametrize("triple", [(5, 2, 0), (10, 3, 1), (12, 5, 2), (4, 2, 2)])
+    def test_matches_pure_python_reference(self, triple):
+        v, k, i = triple
+        subsets = sorted(combinations(range(v), k), key=lambda t: t[::-1])
+        pairs = [(u, w) for u, w in combinations(range(len(subsets)), 2)
+                 if len(set(subsets[u]) & set(subsets[w])) == i]
+        g = build_graph(P(*triple))
+        assert export_graph(g, "edgelist") == "".join(
+            f"{u} {w}\n" for u, w in pairs).encode()
+        assert export_graph(g, "dimacs") == (f"p edge {len(subsets)} {len(pairs)}\n" + "".join(
+            f"e {u + 1} {w + 1}\n" for u, w in pairs)).encode()
+
+    def test_memory_is_a_small_multiple_of_the_payload(self):
+        g = build_graph(P(13, 6, 3))  # 600600 edges, a 5.2 MB edgelist
+        tracemalloc.start()
+        try:
+            payload = export_graph(g, "edgelist")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(payload), (peak, len(payload))
 
     def test_unknown_format(self):
         g = build_graph(P(5, 2, 0))

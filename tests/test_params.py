@@ -36,6 +36,12 @@ def test_rejects_bad_order():
         make_parameters(5, 2, -1)
 
 
+@pytest.mark.parametrize("triple", [(True, 1, 0), (2, True, 0), (2, 1, False)])
+def test_rejects_bools(triple):
+    with pytest.raises(InvalidOrder):
+        make_parameters(*triple)
+
+
 def test_accepts_weak_inequalities():
     # k = i and v = k are classified, not rejected
     assert make_parameters(4, 2, 2).graph_class is GraphClass.EMPTY_VERTEX_SET

@@ -1,8 +1,11 @@
 import pytest
 
+from gjg.oracle import build_graph
+from gjg.params import make_parameters
 from gjg.sweep import (
     SweepConfig,
     TripleResult,
+    _check_pairing,
     check_complements,
     check_interfaces,
     check_triple,
@@ -76,6 +79,33 @@ class TestCheckTriple:
         monkeypatch.setattr(gjg.formulas, "distance_by_intersection", skewed)
         r = check_triple(6, 2, 0)
         assert not r.passed
+
+
+class TestCheckPairing:
+    # J(8,4,0) pairs rank r with 69 - r: row 0's partner is bit 5 of byte 8.
+    def _failures(self, edits):
+        g = build_graph(make_parameters(8, 4, 0))
+        for (row, col), byte in edits.items():
+            g.adj[row, col] = byte
+        res = TripleResult(8, 4, 0, g.n, "matching")
+        _check_pairing(res, g)
+        return res.failures
+
+    def test_matching_passes(self):
+        assert self._failures({}) == []
+
+    @pytest.mark.parametrize("col, byte", [
+        (8, 0x00),  # no neighbor
+        (0, 0x40),  # a second neighbor in another byte
+        (8, 0x0C),  # a second neighbor in the same byte
+    ])
+    def test_not_one_regular(self, col, byte):
+        assert self._failures({(0, col): byte}) == ["matching: not 1-regular"]
+
+    def test_not_an_involution(self):
+        # 0 -> 1 while 1 -> 68 still
+        edits = {(0, 8): 0x00, (0, 0): 0x40}
+        assert self._failures(edits) == ["matching: pairing is not an involution"]
 
 
 class TestCheckComplements:
