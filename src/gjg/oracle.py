@@ -4,8 +4,11 @@ Nothing here consults the closed-form module; girth, odd girth, diameter,
 and distances come from BFS on an explicitly materialized graph.  Vertices
 are bitmasks over ground sets of at most 64 elements, enumerated in colex
 rank order.  Adjacency is one packed bit matrix: row u has bit w set when
-the mask popcount |S_u ∩ S_w| equals i, and every search works on it
-directly, a BFS level being the OR of the frontier's rows.
+|S_u ∩ S_w| equals i.  Rows are built by counting set membership: for
+each element e the packed set of vertices containing e is kept, and row
+u counts, for every w at once, how many of S_u's elements lie in S_w;
+no formula is consulted.  Every search works on the rows directly, a
+BFS level being the OR of the frontier's rows.
 
 Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
@@ -32,7 +35,7 @@ MAX_GROUND_SET = 64
 
 INFINITE = math.inf
 
-_SLAB = 1 << 16  # elements per vectorized step: mask pairs, or bytes of packed rows
+_SLAB = 1 << 16  # elements per vectorized step: bits or bytes of packed rows
 
 
 @dataclass
@@ -73,17 +76,19 @@ class ExplicitGraph:
 
     def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Edges as (us, ws) array pairs with u < w, in (u, w) order, one
-        slab of rows at a time; only the nonzero bytes that hold a bit
-        right of the diagonal are unpacked."""
+        slab of rows at a time; each slab is scanned from its first
+        diagonal byte, and only the nonzero bytes that hold a bit right of
+        the diagonal are unpacked."""
         step = max(1, _SLAB // self.n)
         for r0 in range(0, self.n, step):
-            slab = self.adj[r0 : r0 + step]
+            c0 = r0 >> 3  # the slab's first diagonal byte; nothing left of it is upper
+            slab = self.adj[r0 : r0 + step, c0:]
             rows, cols = np.nonzero(slab)
-            upper = cols * 8 + 7 > rows + r0
+            upper = (cols + c0) * 8 + 7 > rows + r0
             rows, cols = rows[upper], cols[upper]
             nz, bit = np.nonzero(np.unpackbits(slab[rows, cols][:, None], axis=1))
             us = rows[nz] + r0
-            ws = cols[nz] * 8 + bit
+            ws = (cols[nz] + c0) * 8 + bit
             keep = ws > us
             yield us[keep], ws[keep]
 
@@ -117,8 +122,51 @@ def _family(v: int, k: int) -> np.ndarray:
     return masks
 
 
+def _members(masks: np.ndarray, v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The family by element: ``member[e]`` is the packed set {w : e ∈ S_w}
+    as uint64 words in ``np.packbits`` bit order (pad bits clear), and
+    ``elems[u]`` lists S_u's k elements."""
+    n = masks.size
+    inside = (masks >> np.arange(v, dtype=np.uint64)[:, None]) & np.uint64(1) != 0
+    member = np.zeros((v, (n + 63) // 64 * 8), dtype=np.uint8)
+    member[:, : (n + 7) // 8] = np.packbits(inside, axis=1)
+    elems = np.nonzero(inside.T)[1].astype(np.uint8).reshape(n, k)
+    return member.view(np.uint64), elems
+
+
+def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
+    """Packed rows, one per row of elems: bit w is set when exactly i of
+    those elements lie in S_w.
+
+    The member rows of the elements are summed bit-sliced: plane b holds
+    bit b of every column's count, and each member row is added by
+    ripple-carry.  A plane is added once the count can reach its bit, so
+    k elements need ceil(log2(k+1)) planes.  A column's count is i when
+    every plane agrees with the matching bit of i.
+    """
+    planes: list[np.ndarray] = []
+    spare = np.empty((elems.shape[0], member.shape[1]), dtype=np.uint64)
+    for j in range(elems.shape[1]):
+        carry = member[elems[:, j]]
+        for plane in planes:
+            np.bitwise_and(plane, carry, out=spare)  # carry out of this plane
+            plane ^= carry
+            carry, spare = spare, carry
+        if len(planes) < (j + 1).bit_length():
+            planes.append(carry)
+    hit = np.full(spare.shape, ~np.uint64(0))
+    for b, plane in enumerate(planes):
+        hit &= plane if (i >> b) & 1 else ~plane
+    return hit
+
+
 def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ExplicitGraph:
     """Materialize J(v,k,i): all C(v,k) vertices plus packed adjacency rows.
+
+    Row u comes from counting, for every vertex w at once, how many of
+    S_u's elements lie in S_w (``_overlap_is``): set membership alone,
+    with no formula consulted.  Every row's degree is checked against
+    C(k,i)*C(v-k,k-i) as it is built.
 
     Raises BudgetExceeded when C(v,k) > vertex_budget and Unsupported for
     ground sets beyond 64 elements (vertices are 64-bit masks).
@@ -129,18 +177,21 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
     masks = _family(p.v, p.k)
-    adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-    step = max(1, _SLAB // n)
+    member, elems = _members(masks, p.v, p.k)
+    g = ExplicitGraph(p, n, np.empty((n, (n + 7) // 8), dtype=np.uint8), masks)
+    pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
+    step = max(1, _SLAB // g.adj.shape[1])
     for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        hit = np.bitwise_count(masks[r0:r1, None] & masks) == p.i
+        rows = g.adj[r0 : r0 + step]
+        hit = _overlap_is(member, elems[r0 : r0 + step], p.i).view(np.uint8)
+        rows[:] = hit[:, : rows.shape[1]]
+        rows[:, -1] &= pad
         if p.i == p.k:  # self-intersection is k; the graph stays loop-free
-            hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
-        adj[r0:r1] = np.packbits(hit, axis=1)
-    g = ExplicitGraph(p, n, adj, masks)
-    deg = np.bitwise_count(adj).sum(axis=1)
-    if not np.all(deg == g.degree):
-        raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
+            u = np.arange(r0, r0 + rows.shape[0])
+            rows[u - r0, u >> 3] &= ~(np.uint8(0x80) >> (u & 7).astype(np.uint8))
+        deg = np.bitwise_count(rows).sum(axis=1)
+        if not np.all(deg == g.degree):
+            raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
     return g
 
 

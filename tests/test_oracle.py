@@ -1,9 +1,11 @@
 import math
 import sys
+import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gjg.errors import BudgetExceeded, OutOfRange, Unsupported
@@ -67,6 +69,34 @@ class TestBuildGraph:
             want = math.comb(p.k, p.i) * math.comb(p.v - p.k, p.k - p.i)
             degs = [g.neighbors(u).size for u in range(g.n)]
             assert degs == [want] * g.n
+
+    def test_rows_match_all_pairs_popcount(self):
+        # Reference: the all-pairs mask popcount that the bit-sliced
+        # counters replaced, a block of rows at a time.
+        small = [(v, k, i) for v in range(11) for k in range(v + 1) for i in range(k + 1)]
+        for t in small + [
+            (14, 7, 2),  # several slabs of rows
+            (64, 1, 0),  # masks reach bit 63
+            (64, 2, 1),
+        ]:
+            p = P(*t)
+            g = build_graph(p)
+            m = g.masks
+            for u0 in range(0, g.n, 256):
+                hit = np.bitwise_count(m[u0 : u0 + 256, None] & m) == p.i
+                if p.i == p.k:
+                    hit[np.arange(hit.shape[0]), np.arange(u0, u0 + hit.shape[0])] = False
+                assert np.array_equal(g.adj[u0 : u0 + 256], np.packbits(hit, axis=1)), (t, u0)
+
+    def test_memory_is_a_small_multiple_of_the_graph(self):
+        build_graph(P(15, 7, 0))  # the (15, 7) family is cached from here on
+        tracemalloc.start()
+        try:
+            g = build_graph(P(15, 7, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.adj.nbytes, (peak, g.adj.nbytes)
 
 
 def _reference(p):
