@@ -14,7 +14,7 @@ import sys
 from . import graphio, oracle, witness
 from .errors import GJGError
 from .formulas import invariant_report
-from .params import Parameters, make_parameters, normalize
+from .params import Parameters, delta, make_parameters
 from .sweep import SweepConfig, run_sweep, sweep_triples
 from .witness import Walk
 
@@ -57,7 +57,7 @@ def _print_report_text(rep) -> None:
     p = rep.params
     print(f"parameters: v={p.v} k={p.k} i={p.i}")
     print(f"class: {p.graph_class.value}")
-    print(f"delta: {p.v - 2 * p.k + 2 * p.i}")
+    print(f"delta: {delta(p)}")
     print(f"girth: {graphio.format_value(rep.girth)}")
     print(f"odd_girth: {graphio.format_value(rep.odd_girth)}")
     print(f"diameter: {graphio.format_value(rep.diameter)}")
@@ -72,16 +72,6 @@ def _print_walk(p: Parameters, w: Walk, label: str) -> None:
         body = ",".join(str(e) for e in s)
         print(f"  rank {graphio.rank(p, s):>6} {{{body}}}")
     print(f"verified: {graphio.format_value(witness.verify_walk(p, w))}")
-
-
-def _lifted(p: Parameters, build) -> Walk:
-    """Run a witness construction, complementing through the normalized
-    form when v < 2k (the two graphs are isomorphic via complements)."""
-    q = normalize(p)
-    if q is p:
-        return build(q, lambda s: s)
-    comp = lambda s: tuple(e for e in range(p.v) if e not in set(s))
-    return witness.complement_walk(p, build(q, comp))
 
 
 def cmd_invariants(args) -> int:
@@ -113,8 +103,7 @@ def cmd_distance(args) -> int:
     if args.witness:
         if a is None:
             a, b = witness.canonical_pair(p, x)
-        walk = _lifted(p, lambda q, comp: witness.geodesic(q, comp(a), comp(b)))
-        _print_walk(p, walk, "geodesic")
+        _print_walk(p, witness.geodesic(p, a, b), "geodesic")
     return EXIT_OK
 
 
@@ -129,13 +118,13 @@ def cmd_witness(args) -> int:
         else:
             print("error: geodesic needs --x or both --a and --b", file=sys.stderr)
             return EXIT_USAGE
-        walk = _lifted(p, lambda q, comp: witness.geodesic(q, comp(a), comp(b)))
+        walk = witness.geodesic(p, a, b)
         label = "geodesic"
     elif args.kind == "cycle":
-        walk = _lifted(p, lambda q, comp: witness.shortest_cycle(q))
+        walk = witness.shortest_cycle(p)
         label = "cycle"
     else:
-        walk = _lifted(p, lambda q, comp: witness.odd_closed_walk(q))
+        walk = witness.odd_closed_walk(p)
         label = "odd closed walk"
     if not witness.verify_walk(p, walk):
         print("internal error: constructed walk failed verification", file=sys.stderr)

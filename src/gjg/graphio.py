@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import InvalidSet, OutOfRange
-from .params import Parameters
+from .params import Parameters, delta
 
 if TYPE_CHECKING:  # pragma: no cover
     from .formulas import InvariantReport
@@ -137,15 +137,13 @@ def export_report(r: "InvariantReport | OracleReport") -> bytes:
     distance_profile (one indented line per intersection size), and
     connected for oracle-side reports.
     """
-    from .params import delta as _delta
-
     p = r.params
     lines = [
         f"schema: {REPORT_SCHEMA}",
         f"v: {p.v}",
         f"k: {p.k}",
         f"i: {p.i}",
-        f"delta: {_delta(p)}",
+        f"delta: {delta(p)}",
         f"class: {p.graph_class.value}",
         f"girth: {format_value(r.girth)}",
         f"odd_girth: {format_value(r.odd_girth)}",

@@ -14,7 +14,8 @@ Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
 acts transitively on vertices; since the point of this module is
 independence, every such value is still cross-checked from randomly
-chosen extra sources.
+chosen extra sources.  Distances come from one measurement, the profile:
+BFS from a source to every vertex, a function of their intersection size.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded, OutOfRange, Unsupported
-from .graphio import rank
 from .params import Parameters, intersection_range
 
 DEFAULT_VERTEX_BUDGET = 20_000
@@ -36,6 +36,7 @@ MAX_GROUND_SET = 64
 INFINITE = math.inf
 
 _SLAB = 1 << 16  # elements per vectorized step: bits or bytes of packed rows
+_CROSS_CHECKS = 3  # extra random sources behind every per-source measurement
 
 
 @dataclass
@@ -290,30 +291,29 @@ def _eccentricity(dist: np.ndarray) -> int | float:
     return INFINITE if (dist < 0).any() else int(dist.max())
 
 
-def _agreed(g: ExplicitGraph, cross_checks: int, what: str, measure):
-    """measure(source) from the canonical vertex and cross_checks extra
+def _agreed(g: ExplicitGraph, what: str, measure):
+    """measure(source) from the canonical vertex and _CROSS_CHECKS extra
     sources, which vertex transitivity says must agree."""
     p = g.params
-    values = [measure(s) for s in _sources(p.v, p.k, p.i, g.n, 1 + cross_checks)]
+    values = [measure(s) for s in _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
     if any(val != values[0] for val in values):
         raise AssertionError(f"{p}: per-source {what} disagrees: {values}")
     return values[0]
 
 
-def oracle_girth(g: ExplicitGraph, cross_checks: int = 3) -> int | None:
+def oracle_girth(g: ExplicitGraph) -> int | None:
     """Measured girth (None when acyclic), checked from extra random sources."""
-    return _agreed(g, cross_checks, "girth", lambda s: _local_girth(g, s))
+    return _agreed(g, "girth", lambda s: _local_girth(g, s))
 
 
-def oracle_odd_girth(g: ExplicitGraph, cross_checks: int = 3) -> int | None:
+def oracle_odd_girth(g: ExplicitGraph) -> int | None:
     """Measured odd girth via the double cover (None when bipartite)."""
-    return _agreed(g, cross_checks, "odd girth", lambda s: _local_odd_girth(g, s))
+    return _agreed(g, "odd girth", lambda s: _local_odd_girth(g, s))
 
 
-def oracle_diameter(g: ExplicitGraph, cross_checks: int = 3) -> int | float:
+def oracle_diameter(g: ExplicitGraph) -> int | float:
     """Eccentricity of the canonical vertex; math.inf when disconnected."""
-    return _agreed(g, cross_checks, "eccentricity",
-                   lambda s: _eccentricity(bfs_distances(g, s)))
+    return _agreed(g, "eccentricity", lambda s: _eccentricity(bfs_distances(g, s)))
 
 
 def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
@@ -321,32 +321,31 @@ def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
     return np.bitwise_count(g.masks & g.masks[source]).astype(np.int32)
 
 
-def oracle_distance(g: ExplicitGraph, x: int, pair_samples: int = 3):
-    """BFS distance between the canonical pair with intersection x.
+def distance_profile(g: ExplicitGraph, source: int) -> dict[int, int | float]:
+    """{x: BFS distance from source to the vertices meeting it in x
+    elements}, math.inf where unreachable; raises AssertionError unless
+    every vertex with the same x is at the same distance."""
+    p = g.params
+    dist = bfs_distances(g, source)
+    overlap = intersection_with(g, source)
+    at = np.empty(p.k + 1, dtype=dist.dtype)
+    at[overlap] = dist  # some vertex's distance per x, which all must share
+    bad = dist != at[overlap]
+    if bad.any():
+        x = int(overlap[bad.argmax()])
+        ds = np.unique(dist[overlap == x]).tolist()
+        raise AssertionError(f"{p}: distance from {source} not a function of x={x}: {ds}")
+    return {x: INFINITE if at[x] < 0 else int(at[x]) for x in intersection_range(p)}
 
-    Also draws sampled pairs with the same intersection (images of the
-    canonical pair under seeded random permutations of the ground set) and
-    asserts they agree: the distance depends only on x.
-    """
+
+def oracle_distance(g: ExplicitGraph, x: int):
+    """BFS distance between vertices meeting in x elements, read from the
+    distance profile agreed between the canonical and extra sources."""
     p = g.params
     if x not in intersection_range(p):
         r = intersection_range(p)
         raise OutOfRange(f"intersection size {x} outside [{r.start}, {r.stop - 1}]")
-    # The standard pair with overlap x: {0..k-1} and {0..x-1} ∪ {k..2k-x-1}.
-    a = tuple(range(p.k))
-    b = tuple(list(range(x)) + list(range(p.k, 2 * p.k - x)))
-    base = bfs_distances(g, rank(p, a))[rank(p, b)]
-    rng = np.random.default_rng([p.v, p.k, p.i, x, 7411])
-    for _ in range(pair_samples):
-        perm = rng.permutation(p.v)
-        ra = rank(p, sorted(int(perm[e]) for e in a))
-        rb = rank(p, sorted(int(perm[e]) for e in b))
-        got = bfs_distances(g, ra)[rb]
-        if got != base:
-            raise AssertionError(
-                f"{p}: distance at intersection {x} not invariant: {base} vs {got}"
-            )
-    return INFINITE if base < 0 else int(base)
+    return _agreed(g, "distance profile", lambda s: distance_profile(g, s))[x]
 
 
 @dataclass(frozen=True)
@@ -368,14 +367,13 @@ def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 
 def report_from_graph(g: ExplicitGraph) -> OracleReport:
-    p = g.params
-    profile = {x: oracle_distance(g, x, pair_samples=0) for x in intersection_range(p)}
-    dist0 = bfs_distances(g, 0)
+    """Every measurement on a built graph, each agreed between sources."""
+    profile = _agreed(g, "distance profile", lambda s: distance_profile(g, s))
     return OracleReport(
-        params=p,
+        params=g.params,
         girth=oracle_girth(g),
         odd_girth=oracle_odd_girth(g),
         diameter=oracle_diameter(g),
         distance_profile=profile,
-        connected=not bool((dist0 < 0).any()),
+        connected=INFINITE not in profile.values(),
     )

@@ -2,9 +2,10 @@
 
 J(v,k,i) has the k-subsets of {0,...,v-1} as vertices, two subsets being
 adjacent exactly when their intersection has size i.  The constructor
-accepts any triple with v >= k >= i >= 0 and classifies it; formulas and
-witness constructions additionally require the normalized form v >= 2k,
-reachable through :func:`normalize` (complementing every vertex set).
+accepts any triple with v >= k >= i >= 0 and classifies it.  The closed
+forms require the normalized form v >= 2k, reachable through
+:func:`normalize` (complementing every vertex set); the witness
+constructions and invariant_report call it themselves.
 """
 
 from __future__ import annotations

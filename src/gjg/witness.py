@@ -5,6 +5,11 @@ lexicographically smallest eligible elements at each step, so identical
 inputs always produce identical walks.  Walk lengths provably match the
 closed-form values in :mod:`gjg.formulas`; verify_walk rechecks the walk
 axioms independently.
+
+Constructions accept every non-degenerate triple: one with v < 2k is
+built on its normal form J(v, v-k, v-2k+i) and complemented back, since
+complementing every vertex set preserves adjacency.  Degenerate triples
+raise DegenerateClass from :func:`gjg.params.normalize`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 
 from .errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor
 from .formulas import ceil_div, distance_by_intersection, girth, has_common_neighbor, odd_girth
-from .params import GraphClass, Parameters, delta
+from .params import GraphClass, Parameters, delta, normalize
 
 VertexSet = tuple[int, ...]
 
@@ -88,7 +93,11 @@ def common_neighbor(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Vertex
     private side, and fills up from outside a ∪ b; any s in the feasible
     interval would do, the lower endpoint is the fixed choice.
     """
+    q = normalize(p)
     A, B = as_vertex_set(p, a), as_vertex_set(p, b)
+    if q is not p:
+        c = common_neighbor(q, _ground_complement(p, A), _ground_complement(p, B))
+        return tuple(_ground_complement(p, c))
     shared = sorted(set(A) & set(B))
     x = len(shared)
     if not has_common_neighbor(p, x):
@@ -151,7 +160,10 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     swapped start; below i a chain of (k-i)-element exchanges, or a
     single detour vertex when the distance is 3.
     """
+    q = normalize(p)
     A, B = as_vertex_set(p, a), as_vertex_set(p, b)
+    if q is not p:
+        return complement_walk(p, geodesic(q, _ground_complement(p, A), _ground_complement(p, B)))
     x = len(set(A) & set(B))
     if p.graph_class is GraphClass.MATCHING:
         if x == p.k:
@@ -159,10 +171,6 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
         if x == 0:
             return Walk((A, B), WalkKind.PATH, 1)
         raise Disconnected(f"{p}: vertices with 0 < |A ∩ B| < k lie in different edges")
-    if p.is_degenerate:
-        raise DegenerateClass(f"{p} admits no paths")
-    if not p.is_normalized:
-        raise ValueError(f"{p} is not normalized; complement the sets and use normalize()")
     k, i, d = p.k, p.i, delta(p)
 
     if x == k:
@@ -235,11 +243,12 @@ def _six_cycle(p: Parameters) -> list[VertexSet]:
 
 def shortest_cycle(p: Parameters) -> Walk:
     """A cycle of length girth(p), closed vertex repeated at the end."""
+    q = normalize(p)
+    if q is not p:
+        return complement_walk(p, shortest_cycle(q))
     g = girth(p)
     if g is None:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) is acyclic or empty")
-    if not p.is_normalized:
-        raise ValueError(f"{p} is not normalized")
     k, i = p.k, p.i
 
     if g == 3:
@@ -282,7 +291,8 @@ def shortest_cycle(p: Parameters) -> Walk:
 
 
 def odd_closed_walk(p: Parameters) -> Walk:
-    """A closed walk of length odd_girth(p) starting and ending at {0..k-1}.
+    """A closed walk of length odd_girth(p) starting and ending at {0..k-1}
+    (for v < 2k, at the complement of the normal form's start).
 
     Girth-3 graphs use a triangle.  Odd graphs (2k+1,k,0) walk A -> B -> C
     -> A where the three sets pairwise intersect in (d, d, 0) elements for
@@ -290,11 +300,12 @@ def odd_closed_walk(p: Parameters) -> Walk:
     Girth-4 graphs pick a third vertex equidistant from both ends of an
     edge at distance r = ceil((k-i)/delta) and glue the two geodesics.
     """
+    q = normalize(p)
+    if q is not p:
+        return complement_walk(p, odd_closed_walk(q))
     og = odd_girth(p)
     if og is None:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) has no odd closed walk")
-    if not p.is_normalized:
-        raise ValueError(f"{p} is not normalized")
     k, i, d = p.k, p.i, delta(p)
 
     if girth(p) == 3:
@@ -350,7 +361,5 @@ def odd_closed_walk(p: Parameters) -> Walk:
 def complement_walk(p: Parameters, w: Walk) -> Walk:
     """Map a walk in J(v, v-k, v-2k+i) back to J(v,k,i) by complementing
     every vertex set; the complement isomorphism preserves adjacency."""
-    vertices = tuple(
-        tuple(e for e in range(p.v) if e not in set(s)) for s in w.vertices
-    )
+    vertices = tuple(tuple(_ground_complement(p, s)) for s in w.vertices)
     return Walk(vertices, w.kind, w.claimed_length)

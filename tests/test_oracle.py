@@ -20,6 +20,7 @@ from gjg.oracle import (
     oracle_girth,
     oracle_odd_girth,
     oracle_report,
+    report_from_graph,
 )
 from gjg.params import make_parameters
 
@@ -176,6 +177,24 @@ class TestMeasurements:
         with pytest.raises(OutOfRange):
             oracle_distance(g, 3)
 
+    @pytest.mark.parametrize("measure", ["oracle_distance", "report_from_graph"])
+    @pytest.mark.parametrize("triple", [(7, 3, 1), (8, 4, 1)])
+    def test_agreed_profile_catches_a_missing_edge(self, triple, measure):
+        # With one edge at the canonical vertex cleared from both rows, that
+        # neighbour is no longer at distance 1 while the other vertices
+        # meeting it in i elements are: the profile is not a function of x.
+        p = P(*triple)
+        g = build_graph(p)
+        w = int(g.neighbors(0)[0])
+        g.adj[0, w >> 3] &= ~np.uint8(0x80 >> (w & 7))
+        g.adj[w, 0] &= ~np.uint8(0x80)
+        assert w not in g.neighbors(0) and 0 not in g.neighbors(w)
+        with pytest.raises(AssertionError):
+            if measure == "oracle_distance":
+                oracle_distance(g, p.i)
+            else:
+                report_from_graph(g)
+
     def test_bit_rows_match_pure_python_reference(self):
         for t in [
             (8, 4, 2),  # dense
@@ -227,8 +246,8 @@ def test_concurrent_builds_across_families():
 
 def test_oracle_is_independent_of_closed_forms():
     # The ground-truth module must never consult the formula or witness
-    # modules; its only intra-package dependencies are parameter handling,
-    # ranking, and error types.
+    # modules; its only intra-package dependencies are parameter handling
+    # and error types.
     import ast
     import inspect
 
@@ -242,6 +261,7 @@ def test_oracle_is_independent_of_closed_forms():
         elif isinstance(node, ast.Import):
             pulled.update(a.name for a in node.names)
     assert "formulas" not in pulled and "witness" not in pulled
+    assert "graphio" not in pulled
     assert not any(name.startswith("gjg.formulas") or name.startswith("gjg.witness")
                    for name in pulled)
 

@@ -3,8 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjg.errors import DegenerateClass, Disconnected, NoCommonNeighbor
-from gjg.formulas import distance_by_intersection, girth, odd_girth
+from gjg.formulas import distance_by_intersection, girth, invariant_report, odd_girth
+from gjg.graphio import rank
+from gjg.oracle import bfs_distances, build_graph, oracle_girth, oracle_odd_girth
 from gjg.params import intersection_range, make_parameters
+from gjg.sweep import SweepConfig, sweep_triples
 from gjg.witness import (
     Walk,
     WalkKind,
@@ -184,6 +187,53 @@ class TestOddClosedWalk:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateClass):
             odd_closed_walk(P(8, 4, 0))
+
+
+# Every non-degenerate triple of the desk sweep with v < 2k.
+LIFTED_TRIPLES = [
+    t for t in sweep_triples(SweepConfig())
+    if not P(*t).is_normalized and not P(*t).is_degenerate
+]
+
+
+def test_desk_sweep_lifts_168_triples():
+    assert len(LIFTED_TRIPLES) == 168
+
+
+@pytest.mark.parametrize("triple", LIFTED_TRIPLES, ids=lambda t: "J(%d,%d,%d)" % t)
+def test_lifted_witnesses_match_the_oracle(triple):
+    # Constructions on v < 2k go through the complement of the normal form;
+    # each one is checked on the explicit graph of the triple itself.
+    p = P(*triple)
+    g = build_graph(p)
+    rep = invariant_report(p)
+    for x in intersection_range(p):
+        a, b = canonical_pair(p, x)
+        ra, rb = rank(p, a), rank(p, b)
+        w = geodesic(p, a, b)
+        assert verify_walk(p, w), x
+        assert (w.vertices[0], w.vertices[-1]) == (a, b), x
+        assert w.claimed_length == rep.distance_profile[x] == bfs_distances(g, ra)[rb], x
+        if (g.adj[ra] & g.adj[rb]).any():
+            rc = rank(p, common_neighbor(p, a, b))
+            assert rc in g.neighbors(ra) and rc in g.neighbors(rb), x
+        else:
+            with pytest.raises(NoCommonNeighbor):
+                common_neighbor(p, a, b)
+    cyc = shortest_cycle(p)
+    assert verify_walk(p, cyc) and cyc.claimed_length == oracle_girth(g)
+    ow = odd_closed_walk(p)
+    assert verify_walk(p, ow) and ow.claimed_length == oracle_odd_girth(g)
+
+
+@pytest.mark.parametrize("triple", [(6, 4, 1), (5, 5, 2), (4, 2, 2)])
+def test_degenerate_triples_have_no_witnesses(triple):
+    p = P(*triple)
+    a = b = tuple(range(p.k))
+    for build in (shortest_cycle, odd_closed_walk,
+                  lambda p: geodesic(p, a, b), lambda p: common_neighbor(p, a, b)):
+        with pytest.raises(DegenerateClass, match="has no normal form"):
+            build(p)
 
 
 def test_complement_walk_maps_between_isomorphic_graphs():
