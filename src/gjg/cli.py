@@ -91,18 +91,10 @@ def cmd_distance(args) -> int:
     if args.a is not None and args.b is not None:
         a = witness.as_vertex_set(p, args.a)
         b = witness.as_vertex_set(p, args.b)
-        x = len(set(a) & set(b))
     else:
-        a = b = None
-        x = args.x
-    rep = invariant_report(p)
-    if x not in rep.distance_profile:
-        r = sorted(rep.distance_profile)
-        raise GJGError(f"intersection size {x} outside [{r[0]}, {r[-1]}]")
-    print(graphio.format_value(rep.distance_profile[x]))
+        a, b = witness.canonical_pair(p, args.x)  # range-checks x
+    print(graphio.format_value(invariant_report(p).distance_profile[len(set(a) & set(b))]))
     if args.witness:
-        if a is None:
-            a, b = witness.canonical_pair(p, x)
         _print_walk(p, witness.geodesic(p, a, b), "geodesic")
     return EXIT_OK
 

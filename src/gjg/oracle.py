@@ -14,8 +14,9 @@ Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
 acts transitively on vertices; since the point of this module is
 independence, every such value is still cross-checked from randomly
-chosen extra sources.  Distances come from one measurement, the profile:
-BFS from a source to every vertex, a function of their intersection size.
+chosen extra sources.  One BFS per source measures all of them.
+Distances come from one measurement, the profile: BFS from a source to
+every vertex, a function of their intersection size.
 """
 
 from __future__ import annotations
@@ -47,15 +48,15 @@ class ExplicitGraph:
     ``np.packbits`` order: bit w of row u is set when u and w are adjacent.
     ``masks`` holds vertex u's k-subset as a uint64 bitmask; it is the only
     record of the subsets (``graphio.unrank`` spells one out).
-    The only state that changes after ``build_graph`` returns is the BFS
-    memo, which maps a source to its distance array.
+    The only state that changes after ``build_graph`` returns is the search
+    memo, which maps a source to its distances, girth and odd girth.
     """
 
     params: Parameters
     n: int
     adj: np.ndarray       # (n, ceil(n/8)) uint8 packed adjacency rows
     masks: np.ndarray     # uint64 bitmask per vertex
-    _dist_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _searches: dict[int, _Search] = field(default_factory=dict, repr=False)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Ascending ranks of u's neighbors."""
@@ -196,83 +197,83 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     return g
 
 
-def _reach(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Packed union of the given adjacency rows (every neighbor of rows)."""
-    out = np.zeros(adj.shape[1], dtype=np.uint8)
-    step = max(1, _SLAB // adj.shape[1])
-    for c0 in range(0, rows.size, step):
-        out |= np.bitwise_or.reduce(adj[rows[c0 : c0 + step]], axis=0)
-    return out
-
-
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Vertex ranks whose bits are set, ascending."""
     return np.flatnonzero(np.unpackbits(bits, count=n))
 
 
-def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
-    """Distances from source (int32, -1 for unreachable); memoized."""
-    cached = g._dist_cache.get(source)
-    if cached is not None:
-        return cached
-    dist = np.full(g.n, -1, dtype=np.int32)
+@dataclass(frozen=True)
+class _Search:
+    dist: np.ndarray       # int32, -1 for unreachable
+    girth: int | None      # by the level-set rule; None when no cycle is reached
+    odd_girth: int | None  # shortest odd closed walk through the source
+
+
+def _level_search(g: ExplicitGraph, source: int) -> _Search:
+    """BFS from source that also finds the girth and odd girth through it.
+
+    Level t's rows are OR-reduced in slabs of _SLAB bytes; what the union
+    reaches unseen is level t+1.  Until the girth is known, each slab is
+    tested for a row with two bits in level t-1 (a cycle of length 2t),
+    and until the odd girth is known, the union for a bit inside level t
+    (an edge there closes one of length 2t+1).  The first level with a
+    candidate sets the girth, an even one winning.  An odd closed walk
+    through the source uses an odd number of edges inside levels, so it
+    is at least 2t+1 long; the tree paths to the first such edge give 2t+1.
+    """
+    adj, n = g.adj, g.n
+    dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        frontier = _unpacked(_reach(g.adj, frontier) & ~np.packbits(dist >= 0), g.n)
-        dist[frontier] = level
-    g._dist_cache[source] = dist
-    return dist
-
-
-def _local_girth(g: ExplicitGraph, source: int) -> int | None:
-    """Shortest cycle through the source's component, from BFS level sets.
-
-    Two candidate families close cycles through the root: an edge inside
-    level t (cycle length 2t+1), and a level-t vertex with two or more
-    neighbors in level t-1 (length 2t; a single back-neighbor is just the
-    spanning-tree edge).  Candidates from later levels are longer, so the
-    first level with a candidate decides, an even one beating an odd one.
-    """
-    dist = bfs_distances(g, source)
-    step = max(1, _SLAB // g.adj.shape[1])
-    for t in range(1, int(dist.max()) + 1):
-        rows = np.flatnonzero(dist == t)
-        prev = np.packbits(dist == t - 1)
-        same = np.packbits(dist == t)
-        odd = False
-        for c0 in range(0, rows.size, step):
-            blk = g.adj[rows[c0 : c0 + step]]
-            if (np.bitwise_count(blk & prev).sum(axis=1) >= 2).any():
-                return 2 * t
-            odd = odd or bool((blk & same).any())
+    prev = np.zeros(adj.shape[1], dtype=np.uint8)  # packed level t-1
+    cur = prev.copy()                               # packed level t
+    cur[source >> 3] = 0x80 >> (source & 7)
+    unseen = ~cur
+    left = n - 1  # vertices not yet reached
+    frontier = np.array([source])
+    girth = odd_girth = None
+    step = max(1, _SLAB // adj.shape[1])
+    t = 0
+    # Once every vertex is reached, a level is searched only for the tests.
+    while frontier.size and (left or odd_girth is None):
+        reach = np.zeros_like(cur)
+        even = False
+        for c0 in range(0, frontier.size, step):
+            rows = adj[frontier[c0 : c0 + step]]
+            reach |= np.bitwise_or.reduce(rows, axis=0)
+            if girth is None and t > 1 and not even:
+                # Each row has a bit in level t-1 (a level-1 row just one); it
+                # has two when two of its bytes there are nonzero or one byte
+                # holds two bits.
+                back = rows & prev
+                even = np.count_nonzero(back) > back.shape[0] or np.bitwise_count(back).max() > 1
+        # Some row has a bit inside level t when their union does.
+        odd = odd_girth is None and np.count_nonzero(reach & cur) > 0
+        if girth is None and (even or odd):
+            girth = 2 * t if even else 2 * t + 1
         if odd:
-            return 2 * t + 1
-    return None
+            odd_girth = 2 * t + 1
+        t += 1
+        reach &= unseen
+        unseen ^= reach
+        prev, cur = cur, reach
+        frontier = _unpacked(reach, n)
+        dist[frontier] = t
+        left -= frontier.size
+    return _Search(dist, girth, odd_girth)
 
 
-def _local_odd_girth(g: ExplicitGraph, source: int) -> int | None:
-    """Minimum odd closed-walk length through source: BFS on the bipartite
-    double cover from the source's even copy until its odd copy appears.
+def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
+    """Distances from source (int32, -1 for unreachable); memoized with
+    the rest of the source's one search."""
+    found = g._searches.get(source)
+    if found is None:
+        found = g._searches[source] = _level_search(g, source)
+    return found.dist
 
-    Before expanding each odd level the source's column is probed, so the
-    walk length is reported without materializing the final frontier.
-    """
-    even = np.packbits(np.arange(g.n) == source)
-    seen = [even, np.zeros_like(even)]  # packed vertex sets, by walk-length parity
-    byte, bit = source >> 3, np.uint8(0x80 >> (source & 7))
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        if level % 2 and (g.adj[frontier, byte] & bit).any():
-            return level
-        fresh = _reach(g.adj, frontier) & ~seen[level % 2]
-        seen[level % 2] |= fresh
-        frontier = _unpacked(fresh, g.n)
-    return None
+
+def _search(g: ExplicitGraph, source: int) -> _Search:
+    bfs_distances(g, source)  # runs the search once per source
+    return g._searches[source]
 
 
 def _sources(v: int, k: int, i: int, n: int, count: int) -> list[int]:
@@ -291,11 +292,11 @@ def _eccentricity(dist: np.ndarray) -> int | float:
     return INFINITE if (dist < 0).any() else int(dist.max())
 
 
-def _agreed(g: ExplicitGraph, what: str, measure):
-    """measure(source) from the canonical vertex and _CROSS_CHECKS extra
-    sources, which vertex transitivity says must agree."""
+def _agreed(g: ExplicitGraph, what: str, measure, sources: list[int] | None = None):
+    """measure(source) from the given sources, by default the canonical
+    vertex and _CROSS_CHECKS extras, which vertex transitivity says must agree."""
     p = g.params
-    values = [measure(s) for s in _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
+    values = [measure(s) for s in sources or _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
     if any(val != values[0] for val in values):
         raise AssertionError(f"{p}: per-source {what} disagrees: {values}")
     return values[0]
@@ -303,12 +304,12 @@ def _agreed(g: ExplicitGraph, what: str, measure):
 
 def oracle_girth(g: ExplicitGraph) -> int | None:
     """Measured girth (None when acyclic), checked from extra random sources."""
-    return _agreed(g, "girth", lambda s: _local_girth(g, s))
+    return _agreed(g, "girth", lambda s: _search(g, s).girth)
 
 
 def oracle_odd_girth(g: ExplicitGraph) -> int | None:
-    """Measured odd girth via the double cover (None when bipartite)."""
-    return _agreed(g, "odd girth", lambda s: _local_odd_girth(g, s))
+    """Measured odd girth (None when bipartite), checked the same way."""
+    return _agreed(g, "odd girth", lambda s: _search(g, s).odd_girth)
 
 
 def oracle_diameter(g: ExplicitGraph) -> int | float:
@@ -367,13 +368,16 @@ def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 
 def report_from_graph(g: ExplicitGraph) -> OracleReport:
-    """Every measurement on a built graph, each agreed between sources."""
-    profile = _agreed(g, "distance profile", lambda s: distance_profile(g, s))
+    """Every measurement on a built graph, each agreed between the same
+    sources, one search per source."""
+    p = g.params
+    srcs = _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)
+    profile = _agreed(g, "distance profile", lambda s: distance_profile(g, s), srcs)
     return OracleReport(
-        params=g.params,
-        girth=oracle_girth(g),
-        odd_girth=oracle_odd_girth(g),
-        diameter=oracle_diameter(g),
+        params=p,
+        girth=_agreed(g, "girth", lambda s: _search(g, s).girth, srcs),
+        odd_girth=_agreed(g, "odd girth", lambda s: _search(g, s).odd_girth, srcs),
+        diameter=_agreed(g, "eccentricity", lambda s: _eccentricity(bfs_distances(g, s)), srcs),
         distance_profile=profile,
         connected=INFINITE not in profile.values(),
     )

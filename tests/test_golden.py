@@ -58,6 +58,7 @@ CASES = {
     "witness-cycle-6-4-1": ["witness", *_triple(6, 4, 1), "cycle"],
     "witness-oddwalk-6-4-1": ["witness", *_triple(6, 4, 1), "oddwalk"],
     "witness-geodesic-6-4-1": ["witness", *_triple(6, 4, 1), "geodesic", "--x", "2"],
+    "witness-geodesic-x-out-of-range": ["witness", *_triple(10, 4, 2), "geodesic", "--x", "9"],
     "export-edgelist-5-2-0": ["export", *_triple(5, 2, 0), "--format", "edgelist"],
     "export-dimacs-5-2-0": ["export", *_triple(5, 2, 0), "--format", "dimacs"],
     "verify-v-max-7": ["verify", "--v-max", "7"],

@@ -8,10 +8,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import gjg.oracle
 from gjg.errors import BudgetExceeded, OutOfRange, Unsupported
 from gjg.formulas import INFINITE
 from gjg.graphio import rank
 from gjg.oracle import (
+    ExplicitGraph,
+    _search,
     _sources,
     bfs_distances,
     build_graph,
@@ -136,6 +139,50 @@ def _reference(p):
     return adj, dists, girth, odd_girth
 
 
+def _reference_search(adj, s):
+    """Distances from s by BFS over adjacency lists, the girth by the
+    level-set rule, and the odd girth by BFS on the bipartite double cover:
+    the shortest walk from (s, even) to (s, odd)."""
+    n = len(adj)
+    dist = [-1] * n
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+
+    girth = None
+    for t in range(1, max(dist) + 1):
+        level = [u for u in range(n) if dist[u] == t]
+        if any(sum(dist[w] == t - 1 for w in adj[u]) >= 2 for u in level):
+            girth = 2 * t
+        elif any(dist[w] == t for u in level for w in adj[u]):
+            girth = 2 * t + 1
+        if girth:
+            break
+
+    walk = {(s, 0): 0}
+    queue = deque([(s, 0)])
+    while queue and (s, 1) not in walk:
+        u, parity = queue.popleft()
+        for node in ((w, 1 - parity) for w in adj[u]):
+            if node not in walk:
+                walk[node] = walk[(u, parity)] + 1
+                queue.append(node)
+    return dist, girth, walk.get((s, 1))
+
+
+def _assert_searches_match(g, adj, label):
+    for s in range(g.n):
+        dist, girth, odd_girth = _reference_search(adj, s)
+        found = _search(g, s)
+        assert found.dist.tolist() == dist, (label, s)
+        assert (found.girth, found.odd_girth) == (girth, odd_girth), (label, s)
+
+
 class TestMeasurements:
     def test_petersen(self):
         g = build_graph(P(5, 2, 0))
@@ -211,6 +258,43 @@ class TestMeasurements:
             assert oracle_girth(g) == girth, t
             assert oracle_odd_girth(g) == odd_girth, t
             assert g.edge_count == sum(map(len, adj)) // 2, t
+
+    def test_search_matches_pure_python_references(self):
+        # Every triple with v <= 9: matchings, odd graphs, v < 2k, and
+        # disconnected and edgeless graphs among them.
+        for t in [(v, k, i) for v in range(10) for k in range(v + 1) for i in range(k + 1)]:
+            p = P(*t)
+            g = build_graph(p)
+            # n <= C(9,4) = 126, so every source is searched.
+            _assert_searches_match(g, [g.neighbors(u).tolist() for u in range(g.n)], t)
+
+    def test_search_on_cycles_matches_references(self):
+        # The two back-neighbours of a cycle's antipode share a byte of the
+        # packed level for some sources and straddle two for others.
+        for m in range(3, 21):
+            adj = [[(u - 1) % m, (u + 1) % m] for u in range(m)]
+            dense = np.zeros((m, m), dtype=bool)
+            for u, ws in enumerate(adj):
+                dense[u, ws] = True
+            g = ExplicitGraph(P(m, 1, 0), m, np.packbits(dense, axis=1), np.zeros(m, np.uint64))
+            assert _reference_search(adj, 0)[1:] == (m, m if m % 2 else None)
+            _assert_searches_match(g, adj, m)
+
+    def test_report_searches_each_source_once(self, monkeypatch):
+        calls = {"_sources": 0, "_level_search": 0}
+
+        def counted(name):
+            real = getattr(gjg.oracle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gjg.oracle, name, counted(name))
+        report_from_graph(build_graph(P(9, 4, 1)))
+        assert calls == {"_sources": 1, "_level_search": 4}
 
 
 def test_sources_are_a_pure_function_of_the_triple():

@@ -1,6 +1,10 @@
+import math
+from collections import Counter
+
 import pytest
 
-from gjg.oracle import build_graph
+import gjg.oracle
+from gjg.oracle import _sources, build_graph
 from gjg.params import make_parameters
 from gjg.sweep import (
     SweepConfig,
@@ -79,6 +83,28 @@ class TestCheckTriple:
         monkeypatch.setattr(gjg.formulas, "distance_by_intersection", skewed)
         r = check_triple(6, 2, 0)
         assert not r.passed
+
+    @pytest.mark.parametrize("triple, sources", [((9, 4, 1), 10), ((12, 5, 2), 4)])
+    def test_measures_each_source_profile_once(self, monkeypatch, triple, sources):
+        # The first sources' profiles are agreed in report_from_graph; the
+        # sweep measures only the rest, and the search runs once per source.
+        profiles, searches = Counter(), Counter()
+        real_profile, real_search = gjg.oracle.distance_profile, gjg.oracle._level_search
+
+        def profile(g, s):
+            profiles[s] += 1
+            return real_profile(g, s)
+
+        def search(g, s):
+            searches[s] += 1
+            return real_search(g, s)
+
+        monkeypatch.setattr(gjg.oracle, "distance_profile", profile)
+        monkeypatch.setattr(gjg.oracle, "_level_search", search)
+        r = check_triple(*triple)
+        assert r.passed, r.failures
+        want = dict.fromkeys(_sources(*triple, math.comb(*triple[:2]), sources), 1)
+        assert profiles == searches == want
 
 
 class TestCheckPairing:

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjg.errors import DegenerateClass, Disconnected, NoCommonNeighbor
+from gjg.errors import DegenerateClass, Disconnected, NoCommonNeighbor, OutOfRange
 from gjg.formulas import distance_by_intersection, girth, invariant_report, odd_girth
 from gjg.graphio import rank
 from gjg.oracle import bfs_distances, build_graph, oracle_girth, oracle_odd_girth
@@ -113,6 +115,15 @@ class TestGeodesic:
         p = P(13, 6, 2)
         a, b = canonical_pair(p, 4)
         assert geodesic(p, a, b) == geodesic(p, a, b)
+
+    @pytest.mark.parametrize("triple, x, message", [
+        ((10, 4, 2), 9, "intersection size 9 outside [0, 4]"),
+        ((10, 4, 2), -1, "intersection size -1 outside [0, 4]"),
+        ((7, 4, 2), 0, "intersection size 0 outside [1, 4]"),  # v < 2k: |A ∩ B| >= 1
+    ])
+    def test_canonical_pair_rejects_impossible_sizes(self, triple, x, message):
+        with pytest.raises(OutOfRange, match=re.escape(message)):
+            canonical_pair(P(*triple), x)
 
     def test_matching_routes(self):
         p = P(6, 3, 0)
