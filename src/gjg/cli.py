@@ -27,6 +27,14 @@ EXIT_CONFIG = 3
 class _ConfigError(GJGError):
     """Bad settings from the environment or the sweep bounds (exit 3)."""
 
+    exit_code = EXIT_CONFIG
+
+
+class _UsageError(GJGError):
+    """Arguments that parse but do not say what to do (exit 2)."""
+
+    exit_code = EXIT_USAGE
+
 
 def _parse_set(text: str) -> tuple[int, ...]:
     try:
@@ -42,15 +50,24 @@ def _add_triple(sub: argparse.ArgumentParser) -> None:
 
 
 def _budget(args) -> int:
-    if getattr(args, "max_vertices", None) is not None:
-        return args.max_vertices
-    env = os.environ.get("GJG_MAX_VERTICES")
-    if env is not None:
+    budget, env = args.max_vertices, os.environ.get("GJG_MAX_VERTICES")
+    if budget is None and env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise _ConfigError(f"GJG_MAX_VERTICES must be an integer, got {env!r}")
-    return oracle.DEFAULT_VERTEX_BUDGET
+    if budget is not None and budget < 1:
+        raise _ConfigError(f"max_vertices must be positive, got {budget}")
+    return oracle.DEFAULT_VERTEX_BUDGET if budget is None else budget
+
+
+def _vertex_pair(p: Parameters, args, usage: str):
+    """The pair --a/--b, else the canonical pair meeting in --x elements."""
+    if args.a is not None and args.b is not None:
+        return witness.as_vertex_set(p, args.a), witness.as_vertex_set(p, args.b)
+    if args.x is None:
+        raise _UsageError(usage)
+    return witness.canonical_pair(p, args.x)  # range-checks x
 
 
 def _print_report_text(rep) -> None:
@@ -85,14 +102,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_distance(args) -> int:
     p = make_parameters(args.v, args.k, args.i)
-    if args.x is None and (args.a is None or args.b is None):
-        print("error: provide --x or both --a and --b", file=sys.stderr)
-        return EXIT_USAGE
-    if args.a is not None and args.b is not None:
-        a = witness.as_vertex_set(p, args.a)
-        b = witness.as_vertex_set(p, args.b)
-    else:
-        a, b = witness.canonical_pair(p, args.x)  # range-checks x
+    a, b = _vertex_pair(p, args, "provide --x or both --a and --b")
     print(graphio.format_value(invariant_report(p).distance_profile[len(set(a) & set(b))]))
     if args.witness:
         _print_walk(p, witness.geodesic(p, a, b), "geodesic")
@@ -102,15 +112,7 @@ def cmd_distance(args) -> int:
 def cmd_witness(args) -> int:
     p = make_parameters(args.v, args.k, args.i)
     if args.kind == "geodesic":
-        if args.a is not None and args.b is not None:
-            a = witness.as_vertex_set(p, args.a)
-            b = witness.as_vertex_set(p, args.b)
-        elif args.x is not None:
-            a, b = witness.canonical_pair(p, args.x)
-        else:
-            print("error: geodesic needs --x or both --a and --b", file=sys.stderr)
-            return EXIT_USAGE
-        walk = witness.geodesic(p, a, b)
+        walk = witness.geodesic(p, *_vertex_pair(p, args, "geodesic needs --x or both --a and --b"))
         label = "geodesic"
     elif args.kind == "cycle":
         walk = witness.shortest_cycle(p)
@@ -220,12 +222,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except GJGError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return getattr(exc, "exit_code", EXIT_DOMAIN)
 
 
 def entrypoint() -> None:

@@ -30,7 +30,7 @@ class Disconnected(GJGError):
 
 
 class BudgetExceeded(GJGError):
-    """Graph would exceed the configured vertex budget."""
+    """Graph would exceed the configured vertex budget or physical memory."""
 
 
 class InvalidSet(GJGError):

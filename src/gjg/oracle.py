@@ -14,7 +14,8 @@ Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
 acts transitively on vertices; since the point of this module is
 independence, every such value is still cross-checked from randomly
-chosen extra sources.  One BFS per source measures all of them.
+chosen extra sources.  One BFS per source (``search``) measures all
+of them; the caller holds the searches, and a built graph never changes.
 Distances come from one measurement, the profile: BFS from a source to
 every vertex, a function of their intersection size.
 """
@@ -22,9 +23,10 @@ every vertex, a function of their intersection size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +42,7 @@ _SLAB = 1 << 16  # elements per vectorized step: bits or bytes of packed rows
 _CROSS_CHECKS = 3  # extra random sources behind every per-source measurement
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplicitGraph:
     """Materialized graph as packed adjacency bit rows.
 
@@ -48,15 +50,13 @@ class ExplicitGraph:
     ``np.packbits`` order: bit w of row u is set when u and w are adjacent.
     ``masks`` holds vertex u's k-subset as a uint64 bitmask; it is the only
     record of the subsets (``graphio.unrank`` spells one out).
-    The only state that changes after ``build_graph`` returns is the search
-    memo, which maps a source to its distances, girth and odd girth.
+    Nothing about a graph changes after ``build_graph`` returns.
     """
 
     params: Parameters
     n: int
     adj: np.ndarray       # (n, ceil(n/8)) uint8 packed adjacency rows
     masks: np.ndarray     # uint64 bitmask per vertex
-    _searches: dict[int, _Search] = field(default_factory=dict, repr=False)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Ascending ranks of u's neighbors."""
@@ -80,8 +80,9 @@ class ExplicitGraph:
         """Edges as (us, ws) array pairs with u < w, in (u, w) order, one
         slab of rows at a time; each slab is scanned from its first
         diagonal byte, and only the nonzero bytes that hold a bit right of
-        the diagonal are unpacked."""
-        step = max(1, _SLAB // self.n)
+        the diagonal are unpacked.  A slab holds at most _SLAB bytes of
+        rows and, so that its index arrays stay small, _SLAB edges."""
+        step = max(1, _SLAB // max(self.adj.shape[1], self.degree))
         for r0 in range(0, self.n, step):
             c0 = r0 >> 3  # the slab's first diagonal byte; nothing left of it is upper
             slab = self.adj[r0 : r0 + step, c0:]
@@ -170,17 +171,23 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     with no formula consulted.  Every row's degree is checked against
     C(k,i)*C(v-k,k-i) as it is built.
 
-    Raises BudgetExceeded when C(v,k) > vertex_budget and Unsupported for
-    ground sets beyond 64 elements (vertices are 64-bit masks).
+    Raises BudgetExceeded when C(v,k) > vertex_budget or the estimated
+    bytes of the build exceed physical memory, and Unsupported for ground
+    sets beyond 64 elements (vertices are 64-bit masks).
     """
     if p.v > MAX_GROUND_SET:
         raise Unsupported(f"ground set of {p.v} > {MAX_GROUND_SET} elements")
     n = math.comb(p.v, p.k)
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
+    # Refuse before allocating: adj, the family tables and one slab of counters.
+    row = (n + 7) // 8
+    need = n * row + n * (8 + p.k + p.v) + _SLAB * (p.k.bit_length() + 3)
+    if need > (memory := _physical_memory()):
+        raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")
     masks = _family(p.v, p.k)
     member, elems = _members(masks, p.v, p.k)
-    g = ExplicitGraph(p, n, np.empty((n, (n + 7) // 8), dtype=np.uint8), masks)
+    g = ExplicitGraph(p, n, np.empty((n, row), dtype=np.uint8), masks)
     pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
     step = max(1, _SLAB // g.adj.shape[1])
     for r0 in range(0, n, step):
@@ -197,19 +204,30 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     return g
 
 
+def _physical_memory() -> int | float:
+    """Bytes of physical memory; unbounded where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return INFINITE
+
+
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Vertex ranks whose bits are set, ascending."""
     return np.flatnonzero(np.unpackbits(bits, count=n))
 
 
 @dataclass(frozen=True)
-class _Search:
+class Search:
+    """What one BFS from source measures."""
+
+    source: int
     dist: np.ndarray       # int32, -1 for unreachable
     girth: int | None      # by the level-set rule; None when no cycle is reached
     odd_girth: int | None  # shortest odd closed walk through the source
 
 
-def _level_search(g: ExplicitGraph, source: int) -> _Search:
+def search(g: ExplicitGraph, source: int) -> Search:
     """BFS from source that also finds the girth and odd girth through it.
 
     Level t's rows are OR-reduced in slabs of _SLAB bytes; what the union
@@ -259,21 +277,12 @@ def _level_search(g: ExplicitGraph, source: int) -> _Search:
         frontier = _unpacked(reach, n)
         dist[frontier] = t
         left -= frontier.size
-    return _Search(dist, girth, odd_girth)
+    return Search(source, dist, girth, odd_girth)
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
-    """Distances from source (int32, -1 for unreachable); memoized with
-    the rest of the source's one search."""
-    found = g._searches.get(source)
-    if found is None:
-        found = g._searches[source] = _level_search(g, source)
-    return found.dist
-
-
-def _search(g: ExplicitGraph, source: int) -> _Search:
-    bfs_distances(g, source)  # runs the search once per source
-    return g._searches[source]
+    """Distances from source (int32, -1 for unreachable)."""
+    return search(g, source).dist
 
 
 def _sources(v: int, k: int, i: int, n: int, count: int) -> list[int]:
@@ -288,33 +297,19 @@ def _sources(v: int, k: int, i: int, n: int, count: int) -> list[int]:
     return ranks[: min(count, n)]
 
 
-def _eccentricity(dist: np.ndarray) -> int | float:
-    return INFINITE if (dist < 0).any() else int(dist.max())
-
-
-def _agreed(g: ExplicitGraph, what: str, measure, sources: list[int] | None = None):
-    """measure(source) from the given sources, by default the canonical
-    vertex and _CROSS_CHECKS extras, which vertex transitivity says must agree."""
-    p = g.params
-    values = [measure(s) for s in sources or _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
-    if any(val != values[0] for val in values):
-        raise AssertionError(f"{p}: per-source {what} disagrees: {values}")
-    return values[0]
-
-
 def oracle_girth(g: ExplicitGraph) -> int | None:
-    """Measured girth (None when acyclic), checked from extra random sources."""
-    return _agreed(g, "girth", lambda s: _search(g, s).girth)
+    """Measured girth (None when acyclic), agreed by ``report_from_graph``."""
+    return report_from_graph(g).girth
 
 
 def oracle_odd_girth(g: ExplicitGraph) -> int | None:
-    """Measured odd girth (None when bipartite), checked the same way."""
-    return _agreed(g, "odd girth", lambda s: _search(g, s).odd_girth)
+    """Measured odd girth (None when bipartite), agreed the same way."""
+    return report_from_graph(g).odd_girth
 
 
 def oracle_diameter(g: ExplicitGraph) -> int | float:
-    """Eccentricity of the canonical vertex; math.inf when disconnected."""
-    return _agreed(g, "eccentricity", lambda s: _eccentricity(bfs_distances(g, s)))
+    """Agreed eccentricity of the sources; math.inf when disconnected."""
+    return report_from_graph(g).diameter
 
 
 def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
@@ -322,12 +317,11 @@ def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
     return np.bitwise_count(g.masks & g.masks[source]).astype(np.int32)
 
 
-def distance_profile(g: ExplicitGraph, source: int) -> dict[int, int | float]:
-    """{x: BFS distance from source to the vertices meeting it in x
-    elements}, math.inf where unreachable; raises AssertionError unless
-    every vertex with the same x is at the same distance."""
-    p = g.params
-    dist = bfs_distances(g, source)
+def distance_profile(g: ExplicitGraph, found: Search) -> dict[int, int | float]:
+    """{x: BFS distance from the search's source to the vertices meeting it
+    in x elements}, math.inf where unreachable; raises AssertionError
+    unless every vertex with the same x is at the same distance."""
+    p, dist, source = g.params, found.dist, found.source
     overlap = intersection_with(g, source)
     at = np.empty(p.k + 1, dtype=dist.dtype)
     at[overlap] = dist  # some vertex's distance per x, which all must share
@@ -341,12 +335,11 @@ def distance_profile(g: ExplicitGraph, source: int) -> dict[int, int | float]:
 
 def oracle_distance(g: ExplicitGraph, x: int):
     """BFS distance between vertices meeting in x elements, read from the
-    distance profile agreed between the canonical and extra sources."""
-    p = g.params
-    if x not in intersection_range(p):
-        r = intersection_range(p)
+    distance profile agreed by ``report_from_graph``."""
+    r = intersection_range(g.params)
+    if x not in r:
         raise OutOfRange(f"intersection size {x} outside [{r.start}, {r.stop - 1}]")
-    return _agreed(g, "distance profile", lambda s: distance_profile(g, s))[x]
+    return report_from_graph(g).distance_profile[x]
 
 
 @dataclass(frozen=True)
@@ -363,21 +356,30 @@ class OracleReport:
 
 def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> OracleReport:
     """Build the graph and measure everything by search."""
-    g = build_graph(p, vertex_budget)
-    return report_from_graph(g)
+    return report_from_graph(build_graph(p, vertex_budget))
 
 
-def report_from_graph(g: ExplicitGraph) -> OracleReport:
-    """Every measurement on a built graph, each agreed between the same
-    sources, one search per source."""
+def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None) -> OracleReport:
+    """Every measurement on a built graph, each agreed between the given
+    searches, one per source; by default those of the canonical vertex and
+    _CROSS_CHECKS seeded extras.  Vertex transitivity says they must agree:
+    AssertionError names the first measurement that does not."""
     p = g.params
-    srcs = _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)
-    profile = _agreed(g, "distance profile", lambda s: distance_profile(g, s), srcs)
+    if searches is None:
+        searches = [search(g, s) for s in _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
+
+    def agreed(what, values):
+        if any(val != values[0] for val in values):
+            raise AssertionError(f"{p}: per-source {what} disagrees: {values}")
+        return values[0]
+
+    profile = agreed("distance profile", [distance_profile(g, s) for s in searches])
+    ecc = [INFINITE if (s.dist < 0).any() else int(s.dist.max()) for s in searches]
     return OracleReport(
         params=p,
-        girth=_agreed(g, "girth", lambda s: _search(g, s).girth, srcs),
-        odd_girth=_agreed(g, "odd girth", lambda s: _search(g, s).odd_girth, srcs),
-        diameter=_agreed(g, "eccentricity", lambda s: _eccentricity(bfs_distances(g, s)), srcs),
+        girth=agreed("girth", [s.girth for s in searches]),
+        odd_girth=agreed("odd girth", [s.odd_girth for s in searches]),
+        diameter=agreed("eccentricity", ecc),
         distance_profile=profile,
         connected=INFINITE not in profile.values(),
     )

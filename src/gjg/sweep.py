@@ -254,22 +254,17 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
         x: math.comb(p.k, x) * math.comb(p.v - p.k, p.k - x)
         for x in intersection_range(p)
     }
-    want_sources = 4
-    if n <= SMALL_GRAPH_FULL_CHECK:
-        want_sources = min(n, MIN_PAIR_SAMPLES)
-    else:
-        thin = [s for x, s in class_sizes.items() if x != p.k and 0 < s]
-        if thin and min(thin) * 3 < MIN_PAIR_SAMPLES:
-            want_sources = min(n, MIN_PAIR_SAMPLES)
-    sources = oracle._sources(p.v, p.k, p.i, n, want_sources)
+    thin = [s for x, s in class_sizes.items() if x != p.k and 0 < s]
+    many = n <= SMALL_GRAPH_FULL_CHECK or (thin and min(thin) * 3 < MIN_PAIR_SAMPLES)
+    want_sources = min(n, MIN_PAIR_SAMPLES) if many else 4
+    searches = [oracle.search(g, s) for s in oracle._sources(p.v, p.k, p.i, n, want_sources)]
 
-    # Formula versus measured invariants (canonical source), each measured
-    # identically from 3 extra random sources (vertex transitivity).  The
-    # remaining sources contribute distance profiles only.
+    # Formula versus measured invariants, each measured identically from
+    # every source (vertex transitivity).
     try:
-        measured = oracle.report_from_graph(g)
-        # Girth, odd girth and diameter per source, as perfbench/expected/
-        # sweep.json records them; the profile's agreement is not counted.
+        measured = oracle.report_from_graph(g, searches)
+        # Counted as girth, odd girth and diameter from four sources, as
+        # perfbench/expected/sweep.json records them, though all are agreed.
         _tally(res, "transitivity", 3 * min(4, g.n))
     except AssertionError as exc:
         _fail(res, "transitivity", str(exc))
@@ -279,15 +274,11 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     res.oracle_girth, res.oracle_odd_girth = measured.girth, measured.odd_girth
     res.oracle_diameter, res.oracle_profile = measured.diameter, profile
 
-    _tally(res, "girth")
-    if rep.girth != measured.girth:
-        _fail(res, "girth", f"formula {rep.girth}, oracle {measured.girth}")
-    _tally(res, "odd_girth")
-    if rep.odd_girth != measured.odd_girth:
-        _fail(res, "odd_girth", f"formula {rep.odd_girth}, oracle {measured.odd_girth}")
-    _tally(res, "diameter")
-    if rep.diameter != measured.diameter:
-        _fail(res, "diameter", f"formula {rep.diameter}, oracle {measured.diameter}")
+    for name in ("girth", "odd_girth", "diameter"):
+        want, got = getattr(rep, name), getattr(measured, name)
+        _tally(res, name)
+        if want != got:
+            _fail(res, name, f"formula {want}, oracle {got}")
     if not p.is_degenerate and p.graph_class is not GraphClass.MATCHING:
         peak = max(rep.distance_profile.values())
         if rep.diameter != peak:
@@ -297,21 +288,18 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     if rep.distance_profile != profile:
         _fail(res, "distance_profile", f"formula {rep.distance_profile}, oracle {profile}")
 
-    # Sampled pairs: each (source, vertex) pair is one sample for its class.
-    # report_from_graph has agreed the profiles of the first sources.
-    for s in sources[1 + oracle._CROSS_CHECKS :]:
-        if oracle.distance_profile(g, s) != profile:
-            _fail(res, "pair_sampling", f"profile from source {s} differs")
+    # Sampled pairs: each (source, vertex) pair is one sample for its class;
+    # report_from_graph has agreed every source's profile.
     for x, size in class_sizes.items():
         if x == p.k:
             continue  # only identical pairs; distance 0 holds per source by construction
-        sampled, wanted = size * len(sources), min(MIN_PAIR_SAMPLES, size * n)
+        sampled, wanted = size * len(searches), min(MIN_PAIR_SAMPLES, size * n)
         _tally(res, "pair_sampling", min(sampled, wanted))
         if sampled < wanted:
             _fail(res, "pair_sampling", f"x={x}: only {sampled} sampled pairs")
 
-    for s in sources:
-        _check_lower_bound(res, p, oracle.bfs_distances(g, s), oracle.intersection_with(g, s))
+    for s in searches:
+        _check_lower_bound(res, p, s.dist, oracle.intersection_with(g, s.source))
 
     # Distance-2 criterion: beyond adjacency, two vertices are at distance
     # exactly 2 iff they have a common neighbor.

@@ -9,6 +9,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _set_budget_env(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("GJG_MAX_VERTICES", raising=False)
+    else:
+        monkeypatch.setenv("GJG_MAX_VERTICES", value)
+
+
 class TestInvariants:
     def test_petersen(self, capsys):
         code, out, _ = run(capsys, "invariants", "--v", "5", "--k", "2", "--i", "0")
@@ -164,6 +171,14 @@ class TestExport:
         assert code == 3
         assert out == "" and "GJG_MAX_VERTICES" in err
 
+    @pytest.mark.parametrize("env, flag", [("0", []), (None, ["--max-vertices", "-5"])])
+    def test_non_positive_budget_exit_3(self, capsys, monkeypatch, env, flag):
+        _set_budget_env(monkeypatch, env)
+        code, out, err = run(capsys, "export", "--v", "5", "--k", "2", "--i", "0",
+                             "--format", "edgelist", *flag)
+        assert code == 3
+        assert out == "" and "max_vertices must be positive" in err
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -188,6 +203,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--v-max", "4")
         assert code == 3
         assert out == "" and "GJG_MAX_VERTICES" in err
+
+    @pytest.mark.parametrize("env, flag", [("0", []), (None, ["--max-vertices", "-5"])])
+    def test_non_positive_budget_exit_3(self, capsys, monkeypatch, env, flag):
+        _set_budget_env(monkeypatch, env)
+        code, out, err = run(capsys, "verify", "--v-max", "4", *flag)
+        assert code == 3
+        assert out == "" and "max_vertices must be positive" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--v-max", "4")

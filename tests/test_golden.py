@@ -37,6 +37,7 @@ CASES = {
     "distance-x-10-4-2": ["distance", *_triple(10, 4, 2), "--x", "1"],
     "distance-x-7-4-2": ["distance", *_triple(7, 4, 2), "--x", "2"],
     "distance-x-out-of-range": ["distance", *_triple(10, 4, 2), "--x", "9"],
+    "distance-missing-pair": ["distance", *_triple(10, 4, 2), "--a", "0,1,2,3"],
     "distance-x-witness-7-4-2": ["distance", *_triple(7, 4, 2), "--x", "1", "--witness"],
     "distance-ab-witness-8-4-1": ["distance", *_triple(8, 4, 1),
                                   "--a", "0,1,2,3", "--b", "4,5,6,7", "--witness"],
@@ -59,6 +60,7 @@ CASES = {
     "witness-oddwalk-6-4-1": ["witness", *_triple(6, 4, 1), "oddwalk"],
     "witness-geodesic-6-4-1": ["witness", *_triple(6, 4, 1), "geodesic", "--x", "2"],
     "witness-geodesic-x-out-of-range": ["witness", *_triple(10, 4, 2), "geodesic", "--x", "9"],
+    "witness-geodesic-missing-pair": ["witness", *_triple(9, 4, 1), "geodesic"],
     "export-edgelist-5-2-0": ["export", *_triple(5, 2, 0), "--format", "edgelist"],
     "export-dimacs-5-2-0": ["export", *_triple(5, 2, 0), "--format", "dimacs"],
     "verify-v-max-7": ["verify", "--v-max", "7"],

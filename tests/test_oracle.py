@@ -1,7 +1,8 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -13,8 +14,8 @@ from gjg.errors import BudgetExceeded, OutOfRange, Unsupported
 from gjg.formulas import INFINITE
 from gjg.graphio import rank
 from gjg.oracle import (
+    _SLAB,
     ExplicitGraph,
-    _search,
     _sources,
     bfs_distances,
     build_graph,
@@ -24,6 +25,7 @@ from gjg.oracle import (
     oracle_odd_girth,
     oracle_report,
     report_from_graph,
+    search,
 )
 from gjg.params import make_parameters
 
@@ -102,6 +104,72 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak <= 1.25 * g.adj.nbytes, (peak, g.adj.nbytes)
 
+    def test_refuses_a_build_beyond_physical_memory(self, monkeypatch):
+        # The estimate is checked before the family or adj is allocated.
+        def no_family(v, k):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(gjg.oracle, "_family", no_family)
+        monkeypatch.setattr(gjg.oracle, "_physical_memory", lambda: 16 << 30)
+        with pytest.raises(BudgetExceeded, match=r"needs about \d+ bytes, physical memory 17179869184"):
+            build_graph(P(22, 11, 5), vertex_budget=10**6)  # adj alone is about 62 GB
+        monkeypatch.setattr(gjg.oracle, "_physical_memory", lambda: 10**6)
+        with pytest.raises(BudgetExceeded, match="physical memory 1000000"):
+            build_graph(P(14, 7, 3))  # adj is 1.47 MB
+
+    def test_builds_within_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(gjg.oracle, "_physical_memory", lambda: 4 << 20)
+        assert build_graph(P(14, 7, 3)).n == 3432
+
+    def test_graph_is_frozen_and_holds_no_cache(self):
+        g = build_graph(P(5, 2, 0))
+        for name, value in [("n", 11), ("adj", None), ("params", P(6, 2, 0))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, value)
+        report_from_graph(g)
+        assert vars(g).keys() == {"params", "n", "adj", "masks"}
+
+
+def _upper_edges(g):
+    """(u, w) with u < w from the unpacked adjacency matrix."""
+    dense = np.unpackbits(g.adj, axis=1, count=g.n).astype(bool)
+    us, ws = np.nonzero(np.triu(dense, 1))
+    return us.tolist(), ws.tolist()
+
+
+class TestEdgeBlocks:
+    def _walk(self, g):
+        blocks = list(g.edge_blocks())
+        us = np.concatenate([b[0] for b in blocks]).tolist()
+        ws = np.concatenate([b[1] for b in blocks]).tolist()
+        return blocks, (us, ws)
+
+    @pytest.mark.parametrize("slab", [_SLAB, 64, 16])
+    def test_matches_unpacked_upper_triangle(self, monkeypatch, slab):
+        # n = 126 and 35 are not multiples of 8; small slabs split the rows
+        # at offsets that are not byte boundaries either.
+        monkeypatch.setattr(gjg.oracle, "_SLAB", slab)
+        for t in [(9, 4, 1), (7, 3, 1), (7, 3, 0)]:
+            g = build_graph(P(*t))
+            assert g.n % 8
+            blocks, edges = self._walk(g)
+            assert edges == _upper_edges(g), (t, slab)
+            rows = max(1, slab // max(g.adj.shape[1], g.degree))
+            assert len(blocks) == math.ceil(g.n / rows), (t, slab)
+
+    def test_slabs_are_sized_in_bytes(self):
+        g = build_graph(P(16, 8, 0))
+        blocks, (us, ws) = self._walk(g)
+        assert len(blocks) <= math.ceil(g.n / (_SLAB // math.ceil(g.n / 8)))  # 322, not 2574
+        assert len(us) == g.edge_count and all(w == g.n - 1 - u for u, w in zip(us, ws))
+
+    def test_slabs_hold_at_most_a_slab_of_edges(self):
+        # J(14,4,1): 126 bytes and 480 edges per row, so 136 rows, not 520.
+        g = build_graph(P(14, 4, 1))
+        blocks, _ = self._walk(g)
+        assert max(us.size for us, _ in blocks) <= _SLAB
+        assert len(blocks) == math.ceil(g.n / (_SLAB // g.degree))
+
 
 def _reference(p):
     """Adjacency lists, all-pairs BFS distances, girth and odd girth of
@@ -178,7 +246,8 @@ def _reference_search(adj, s):
 def _assert_searches_match(g, adj, label):
     for s in range(g.n):
         dist, girth, odd_girth = _reference_search(adj, s)
-        found = _search(g, s)
+        found = search(g, s)
+        assert found.source == s, (label, s)
         assert found.dist.tolist() == dist, (label, s)
         assert (found.girth, found.odd_girth) == (girth, odd_girth), (label, s)
 
@@ -281,20 +350,34 @@ class TestMeasurements:
             _assert_searches_match(g, adj, m)
 
     def test_report_searches_each_source_once(self, monkeypatch):
-        calls = {"_sources": 0, "_level_search": 0}
+        draws, searches = [], Counter()
+        real_sources, real_search = gjg.oracle._sources, gjg.oracle.search
 
-        def counted(name):
-            real = getattr(gjg.oracle, name)
+        def sources(*args):
+            draws.append(args)
+            return real_sources(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
+        def counted(g, s):
+            searches[s] += 1
+            return real_search(g, s)
 
-        for name in calls:
-            monkeypatch.setattr(gjg.oracle, name, counted(name))
-        report_from_graph(build_graph(P(9, 4, 1)))
-        assert calls == {"_sources": 1, "_level_search": 4}
+        monkeypatch.setattr(gjg.oracle, "_sources", sources)
+        monkeypatch.setattr(gjg.oracle, "search", counted)
+        g = build_graph(P(9, 4, 1))
+        report_from_graph(g)
+        assert len(draws) == 1 and searches == dict.fromkeys(_sources(9, 4, 1, g.n, 4), 1)
+        # Searches handed in are agreed as they are: none is run again.
+        given = [real_search(g, s) for s in (0, 5, 7)]
+        searches.clear()
+        assert report_from_graph(g, given).girth == 3 and not searches
+
+    def test_report_agrees_every_search_it_is_given(self):
+        g = build_graph(P(9, 4, 1))
+        given = [search(g, s) for s in (0, 3, 8)]
+        assert report_from_graph(g, given) == report_from_graph(g)
+        given[2] = dataclasses.replace(given[2], girth=99)
+        with pytest.raises(AssertionError, match="per-source girth disagrees"):
+            report_from_graph(g, given)
 
 
 def test_sources_are_a_pure_function_of_the_triple():
@@ -326,6 +409,25 @@ def test_concurrent_builds_across_families():
         sys.setswitchinterval(interval)
     for t, result in got:
         assert result == want[t]
+
+
+def test_threads_sharing_one_graph_agree_with_a_serial_run():
+    g = build_graph(P(10, 4, 1))
+    srcs = _sources(10, 4, 1, g.n, 8)
+
+    def measure(j):
+        s = srcs[j % len(srcs)]
+        return s, report_from_graph(g), bfs_distances(g, s).tolist(), oracle_girth(g)
+
+    want = {j: measure(j) for j in range(len(srcs))}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(measure, range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[j % len(srcs)] for j in range(24)]
 
 
 def test_oracle_is_independent_of_closed_forms():

@@ -86,25 +86,39 @@ class TestCheckTriple:
 
     @pytest.mark.parametrize("triple, sources", [((9, 4, 1), 10), ((12, 5, 2), 4)])
     def test_measures_each_source_profile_once(self, monkeypatch, triple, sources):
-        # The first sources' profiles are agreed in report_from_graph; the
-        # sweep measures only the rest, and the search runs once per source.
+        # The sweep searches each of its sources once and report_from_graph
+        # agrees every one of their profiles, measured once each.
         profiles, searches = Counter(), Counter()
-        real_profile, real_search = gjg.oracle.distance_profile, gjg.oracle._level_search
+        real_profile, real_search = gjg.oracle.distance_profile, gjg.oracle.search
 
-        def profile(g, s):
-            profiles[s] += 1
-            return real_profile(g, s)
+        def profile(g, found):
+            profiles[found.source] += 1
+            return real_profile(g, found)
 
         def search(g, s):
             searches[s] += 1
             return real_search(g, s)
 
         monkeypatch.setattr(gjg.oracle, "distance_profile", profile)
-        monkeypatch.setattr(gjg.oracle, "_level_search", search)
+        monkeypatch.setattr(gjg.oracle, "search", search)
         r = check_triple(*triple)
         assert r.passed, r.failures
         want = dict.fromkeys(_sources(*triple, math.comb(*triple[:2]), sources), 1)
         assert profiles == searches == want
+
+    def test_a_disagreeing_extra_source_fails_transitivity(self, monkeypatch):
+        # J(9,4,1) has 10 sweep sources; the last one's profile is skewed.
+        real_profile = gjg.oracle.distance_profile
+        last = _sources(9, 4, 1, 126, 10)[-1]
+
+        def profile(g, found):
+            got = real_profile(g, found)
+            return {**got, 0: got[0] + 1} if found.source == last else got
+
+        monkeypatch.setattr(gjg.oracle, "distance_profile", profile)
+        r = check_triple(9, 4, 1)
+        assert [m.split(":")[0] for m in r.failures] == ["transitivity"]
+        assert "per-source distance profile disagrees" in r.failures[0]
 
 
 class TestCheckPairing:
