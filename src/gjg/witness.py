@@ -171,18 +171,14 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     if q is not p:
         return complement_walk(p, geodesic(q, _ground_complement(p, A), _ground_complement(p, B)))
     x = len(set(A) & set(B))
-    if p.graph_class is GraphClass.MATCHING:
-        if x == p.k:
-            return Walk((A,), WalkKind.PATH, 0)
-        if x == 0:
-            return Walk((A, B), WalkKind.PATH, 1)
-        raise Disconnected(f"{p}: vertices with 0 < |A ∩ B| < k lie in different edges")
     k, i, d = p.k, p.i, delta(p)
 
     if x == k:
         return Walk((A,), WalkKind.PATH, 0)
     if x == i:
         return Walk((A, B), WalkKind.PATH, 1)
+    if p.graph_class is GraphClass.MATCHING:
+        raise Disconnected(f"{p}: vertices with 0 < |A ∩ B| < k lie in different edges")
 
     if x > i:
         even_len = 2 * ceil_div(k - x, d)
@@ -207,22 +203,17 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
             )
             path = [A, detour, common_neighbor(p, detour, B), B]
         else:
+            # Replace one (k-i)-block of A's private part per step, then
+            # close through a common neighbor; at distance 2 no block moves.
             steps = ceil_div(k - x, k - i)
-            if steps == 2:
-                path = [A, common_neighbor(p, A, B), B]
-            else:
-                # Replace one (k-i)-block of A's private part per step.
-                q = steps - 2
-                az = sorted(set(A) - set(B))
-                bz = sorted(set(B) - set(A))
-                shared = sorted(set(A) & set(B))
-                path = [A]
-                for j in range(1, q + 1):
-                    path.append(
-                        as_vertex_set(p, bz[: j * (k - i)] + az[j * (k - i) :] + shared)
-                    )
-                path.append(common_neighbor(p, path[-1], B))
-                path.append(B)
+            az = sorted(set(A) - set(B))
+            bz = sorted(set(B) - set(A))
+            shared = sorted(set(A) & set(B))
+            path = [A]
+            for j in range(1, steps - 1):
+                path.append(as_vertex_set(p, bz[: j * (k - i)] + az[j * (k - i) :] + shared))
+            path.append(common_neighbor(p, path[-1], B))
+            path.append(B)
 
     expected = distance_by_intersection(p, x)
     if len(path) - 1 != expected:

@@ -42,7 +42,7 @@ def test_criterion_1_girth_table(full_sweep):
     failures = _category_failures(full_sweep, "girth")
     spots = {(6, 2, 0): 3, (8, 4, 1): 4, (5, 2, 0): 5, (7, 3, 0): 6, (9, 4, 0): 6}
     for t, want in spots.items():
-        if table[t].oracle_girth != want or report_for(*t).girth != want:
+        if table[t].measured.girth != want or report_for(*t).girth != want:
             failures.append(f"spot {t}: expected girth {want}")
     if full_sweep.elapsed_seconds >= 300:
         failures.append(f"sweep took {full_sweep.elapsed_seconds:.0f}s, expected < 5 minutes")
@@ -57,7 +57,7 @@ def test_criterion_2_odd_girth(full_sweep):
     table = _by_triple(full_sweep)
     failures = _category_failures(full_sweep, "odd_girth")
     for t, want in {(7, 3, 0): 7, (9, 4, 0): 9, (8, 4, 1): 5}.items():
-        if table[t].oracle_odd_girth != want or report_for(*t).odd_girth != want:
+        if table[t].measured.odd_girth != want or report_for(*t).odd_girth != want:
             failures.append(f"spot {t}: expected odd girth {want}")
     _report("2 odd girth", failures, f"{_checks(full_sweep, 'odd_girth')} triples")
 
@@ -75,7 +75,7 @@ def test_criterion_4_diameter(full_sweep):
     table = _by_triple(full_sweep)
     failures = _category_failures(full_sweep, "diameter")
     for t, want in {(8, 3, 2): 3, (7, 3, 0): 3, (10, 4, 2): 2}.items():
-        if table[t].oracle_diameter != want or report_for(*t).diameter != want:
+        if table[t].measured.diameter != want or report_for(*t).diameter != want:
             failures.append(f"spot {t}: expected diameter {want}")
     _report("4 diameter", failures, f"{_checks(full_sweep, 'diameter')} triples")
 
@@ -131,7 +131,7 @@ def test_criterion_9_degenerate_matchings(full_sweep):
         rep = report_for(*t)
         if rep.girth is not None or rep.odd_girth is not None:
             failures.append(f"{t}: girth/odd girth should be undefined")
-        if t[1] >= 2 and (rep.diameter != INFINITE or r.oracle_diameter != INFINITE):
+        if t[1] >= 2 and (rep.diameter != INFINITE or r.measured.diameter != INFINITE):
             failures.append(f"{t}: diameter should be infinite")
     _report("9 matchings", failures, f"{len(matchings)} matching triples")
 

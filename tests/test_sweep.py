@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 import gjg.oracle
-from gjg.oracle import _sources, build_graph
+import gjg.sweep
+from gjg.oracle import OracleReport, _sources, build_graph
 from gjg.params import make_parameters
 from gjg.sweep import (
     SweepConfig,
@@ -106,6 +107,20 @@ class TestCheckTriple:
         want = dict.fromkeys(_sources(*triple, math.comb(*triple[:2]), sources), 1)
         assert profiles == searches == want
 
+    def test_detects_lower_bound_violation(self, monkeypatch):
+        # delta(J(9,4,1)) is 3; at 1 the even bound at x = 2 needs a path of
+        # length 4, while the graph measures 2.
+        monkeypatch.setattr(gjg.sweep, "delta", lambda p: 1)
+        r = check_triple(9, 4, 1)
+        assert any(msg.startswith("lower_bound: x=2:") for msg in r.failures), r.failures
+
+    def test_lower_bound_counts_every_reached_pair(self):
+        # J(6,3,0) is a matching: only the source and its partner are reached,
+        # and delta is 0, so no bound is checked; J(9,4,1) reaches all 126
+        # vertices from each of its 10 sources.
+        assert "lower_bound" not in check_triple(6, 3, 0).checks
+        assert check_triple(9, 4, 1).checks["lower_bound"] == 10 * 126
+
     def test_a_disagreeing_extra_source_fails_transitivity(self, monkeypatch):
         # J(9,4,1) has 10 sweep sources; the last one's profile is skewed.
         real_profile = gjg.oracle.distance_profile
@@ -153,8 +168,7 @@ class TestCheckComplements:
     def _result(v, k, i, girth, profile):
         return TripleResult(
             v, k, i, 1, "standard",
-            oracle_girth=girth, oracle_odd_girth=girth, oracle_diameter=2,
-            oracle_profile=profile,
+            measured=OracleReport(make_parameters(v, k, i), girth, girth, 2, profile, True),
         )
 
     def test_agreement(self):
@@ -174,10 +188,36 @@ class TestCheckComplements:
         _, failures = check_complements([low])
         assert failures and "missing" in failures[0]
 
+    @pytest.mark.parametrize("unmeasured", ["low", "high", "both"])
+    def test_missing_report_is_flagged(self, unmeasured):
+        # A triple that failed before the oracle agreed has no report.
+        low = self._result(7, 4, 2, 3, {1: 2, 2: 1, 3: 2, 4: 0})
+        high = self._result(7, 3, 1, 3, {0: 2, 1: 1, 2: 2, 3: 0})
+        for side, r in (("low", low), ("high", high)):
+            if unmeasured in (side, "both"):
+                r.measured = None
+        checked, failures = check_complements([low, high])
+        assert checked == 1 and len(failures) == 1
+        assert "no oracle report" in failures[0]
+
 
 def test_interface_probes_run_under_default_config():
     checked, failures = check_interfaces(SweepConfig())
     assert checked >= 9 and failures == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_empty_sweep_passes_with_no_results(jobs):
+    out = run_sweep(SweepConfig(max_vertices=1, jobs=jobs))
+    assert out.passed and out.results == [] and out.total_checks == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_is_called_once_per_triple(jobs):
+    cfg = SweepConfig(v_max=6, max_vertices=100, jobs=jobs)
+    seen = []
+    out = run_sweep(cfg, progress=lambda r: seen.append(r.triple))
+    assert sorted(seen) == [r.triple for r in out.results] == sweep_triples(cfg)
 
 
 def test_run_sweep_small_end_to_end():
