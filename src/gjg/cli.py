@@ -43,6 +43,13 @@ def _parse_set(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _parse_jobs(text: str) -> int | str:
+    try:
+        return text if text == "auto" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer or 'auto', got {text!r}")
+
+
 def _add_triple(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--v", type=int, required=True, help="ground set size")
     sub.add_argument("--k", type=int, required=True, help="subset size")
@@ -132,8 +139,11 @@ def cmd_export(args) -> int:
     g = oracle.build_graph(p, _budget(args))
     payload = graphio.export_graph(g, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _ConfigError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.buffer.write(payload)
     return EXIT_OK
@@ -204,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="sweep all triples, compare formulas to the oracle")
     s.add_argument("--v-max", type=int, default=16)
     s.add_argument("--max-vertices", type=int, default=None)
-    s.add_argument("--jobs", type=lambda t: t if t == "auto" else int(t), default=None)
+    s.add_argument("--jobs", type=_parse_jobs, default=None)
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("export", help="write the explicit graph as edgelist or DIMACS")

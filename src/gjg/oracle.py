@@ -2,13 +2,13 @@
 
 Nothing here consults the closed-form module; girth, odd girth, diameter,
 and distances come from BFS on an explicitly materialized graph.  Vertices
-are bitmasks over ground sets of at most 64 elements, enumerated in colex
-rank order.  Adjacency is one packed bit matrix: row u has bit w set when
-|S_u ∩ S_w| equals i.  Rows are built by counting set membership: for
-each element e the packed set of vertices containing e is kept, and row
-u counts, for every w at once, how many of S_u's elements lie in S_w;
-no formula is consulted.  Every search works on the rows directly, a
-BFS level being the OR of the frontier's rows.
+are bitmasks over ground sets of at most 64 elements, in colex rank order
+by the colex recurrence; the family, with the packed set of vertices that
+contain each element, is derived once per (v, k) and shared by every i.
+Adjacency is one packed bit matrix: row u has bit w set when |S_u ∩ S_w|
+equals i.  Row u counts, for every w at once, how many of S_u's elements
+lie in S_w; no formula is consulted.  Every search works on the rows
+directly, a BFS level being the OR of the frontier's rows.
 
 Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -96,45 +95,38 @@ class ExplicitGraph:
             yield us[keep], ws[keep]
 
 
-# One cached family per (v, k): the vertex masks, shared by every i.
+# One cached family per (v, k), shared by every i: (masks, member, elems).
 _FAMILY: dict = {}
 
 
-def _colex_elements(v: int, k: int) -> np.ndarray:
-    subs = sorted(combinations(range(v), k), key=lambda t: t[::-1])
-    return np.array(subs, dtype=np.int8).reshape(len(subs), k)
-
-
-def _family(v: int, k: int) -> np.ndarray:
-    masks = _FAMILY.get((v, k))
-    if masks is not None:
-        return masks
-    elems = _colex_elements(v, k)
-    n = elems.shape[0]
-    # The generator must agree with graphio's combinadic rank on every row.
-    if k > 0:
-        table = np.array([[math.comb(e, j) for j in range(1, k + 1)] for e in range(v)],
-                         dtype=np.int64)
-        ranks = table[elems.astype(np.int64), np.arange(k)].sum(axis=1)
-        if not np.array_equal(ranks, np.arange(n)):
-            raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
-    masks = (np.left_shift(np.uint64(1), elems.astype(np.uint64))).sum(axis=1, dtype=np.uint64) \
-        if k > 0 else np.zeros(n, dtype=np.uint64)
-    _FAMILY.clear()  # keep at most one family resident; they can be large
-    _FAMILY[(v, k)] = masks
-    return masks
-
-
-def _members(masks: np.ndarray, v: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The family by element: ``member[e]`` is the packed set {w : e ∈ S_w}
-    as uint64 words in ``np.packbits`` bit order (pad bits clear), and
-    ``elems[u]`` lists S_u's k elements."""
+def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k-subsets of range(v) in colex order, derived once per (v, k):
+    ``masks[u]`` is S_u as a uint64 bitmask, ``member[e]`` the packed set
+    {w : e ∈ S_w} as uint64 words in ``np.packbits`` order (pad bits clear),
+    and ``elems[u]`` lists S_u's elements, ascending.  Colex recurrence: the
+    j-subsets of range(m+1) are those of range(m), then the (j-1)-subsets
+    of range(m), a prefix of the size before, with bit m set."""
+    if (record := _FAMILY.get((v, k))) is not None:
+        return record
+    masks = np.zeros(1, dtype=np.uint64)  # the one 0-subset
+    for j in range(1, k + 1):  # a k-subset's j smallest elements lie in range(v-k+j)
+        masks = np.concatenate([masks[: math.comb(m, j - 1)] | np.uint64(1 << m)
+                                for m in range(j - 1, v - k + j)])
     n = masks.size
-    inside = (masks >> np.arange(v, dtype=np.uint64)[:, None]) & np.uint64(1) != 0
     member = np.zeros((v, (n + 63) // 64 * 8), dtype=np.uint8)
-    member[:, : (n + 7) // 8] = np.packbits(inside, axis=1)
-    elems = np.nonzero(inside.T)[1].astype(np.uint8).reshape(n, k)
-    return member.view(np.uint64), elems
+    elems = np.empty((n, k), dtype=np.uint8)
+    for e in range(v):
+        has = masks >> np.uint64(e) & np.uint64(1) != 0
+        member[e, : (n + 7) // 8] = np.packbits(has)
+        elems[has, np.bitwise_count(masks[has] & np.uint64((1 << e) - 1))] = e
+    # The recurrence must agree with graphio's combinadic rank on every row.
+    table = np.array([[math.comb(e, j) for j in range(1, k + 1)] for e in range(v)], dtype=np.int64)
+    ranks = sum((table[elems[:, j], j] for j in range(k)), np.zeros(n, dtype=np.int64))
+    if not np.array_equal(ranks, np.arange(n)):
+        raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
+    _FAMILY.clear()  # keep at most one family resident; they can be large
+    _FAMILY[(v, k)] = record = masks, member.view(np.uint64), elems
+    return record
 
 
 def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
@@ -185,8 +177,7 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     need = n * row + n * (8 + p.k + p.v) + _SLAB * (p.k.bit_length() + 3)
     if need > (memory := _physical_memory()):
         raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")
-    masks = _family(p.v, p.k)
-    member, elems = _members(masks, p.v, p.k)
+    masks, member, elems = _family(p.v, p.k)
     g = ExplicitGraph(p, n, np.empty((n, row), dtype=np.uint8), masks)
     pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
     step = max(1, _SLAB // g.adj.shape[1])
@@ -228,7 +219,7 @@ class Search:
 
 
 def search(g: ExplicitGraph, source: int) -> Search:
-    """BFS from source that also finds the girth and odd girth through it.
+    """BFS from source in [0, n) that also finds the girth and odd girth through it.
 
     Level t's rows are OR-reduced in slabs of _SLAB bytes; what the union
     reaches unseen is level t+1.  Until the girth is known, each slab is
@@ -240,6 +231,8 @@ def search(g: ExplicitGraph, source: int) -> Search:
     is at least 2t+1 long; the tree paths to the first such edge give 2t+1.
     """
     adj, n = g.adj, g.n
+    if not 0 <= source < n:
+        raise OutOfRange(f"source {source} outside [0, {n})")
     dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
     prev = np.zeros(adj.shape[1], dtype=np.uint8)  # packed level t-1

@@ -145,6 +145,14 @@ class TestExport:
         lines = target.read_text().splitlines()
         assert len(lines) == 10 and lines[0] == "0 19"
 
+    def test_unwritable_out_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "export", "--v", "5", "--k", "2", "--i", "0",
+                             "--format", "edgelist", "--out", str(target))
+        assert code == 3
+        assert out == "" and err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_octahedron_line_count(self, capsys):
         code, out, _ = run(capsys, "export", "--v", "4", "--k", "2", "--i", "1",
                            "--format", "edgelist")
@@ -210,6 +218,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--v-max", "4", *flag)
         assert code == 3
         assert out == "" and "max_vertices must be positive" in err
+
+    def test_non_integer_jobs_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--v-max", "4", "--jobs", "abc"])
+        assert exc.value.code == 2
+        assert "argument --jobs: expected a positive integer or 'auto', got 'abc'" in capsys.readouterr().err
+
+    def test_zero_jobs_exit_3(self, capsys):
+        code, out, err = run(capsys, "verify", "--v-max", "4", "--jobs", "0")
+        assert code == 3
+        assert out == "" and "jobs must be a positive integer or 'auto', got 0" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--v-max", "4")

@@ -130,6 +130,33 @@ class TestBuildGraph:
         assert vars(g).keys() == {"params", "n", "adj", "masks"}
 
 
+class TestFamily:
+    """``_family`` against the sorted-combinations generator it replaced."""
+
+    @staticmethod
+    def _reference(v, k):
+        return sorted(combinations(range(v), k), key=lambda t: t[::-1])
+
+    @pytest.mark.parametrize("v, k", [(v, k) for v in range(13) for k in range(v + 1)]
+                             + [(64, 1), (64, 2)])
+    def test_matches_the_sorted_combinations(self, v, k):
+        subsets = self._reference(v, k)
+        n = len(subsets)
+        masks, member, elems = record = gjg.oracle._family(v, k)
+        assert masks.dtype == np.uint64
+        assert masks.tolist() == [sum(1 << e for e in s) for s in subsets]
+        assert elems.shape == (n, k) and elems.tolist() == [list(s) for s in subsets]
+        bits = np.unpackbits(member.view(np.uint8), axis=1)
+        inside = [[e in s for s in subsets] for e in range(v)]
+        assert bits.shape[0] == v and bits[:, :n].astype(bool).tolist() == inside
+        assert not bits[:, n:].any()  # pad bits clear
+        for i in range(k + 1):
+            g = build_graph(P(v, k, i))
+            assert g.masks is record[0]
+            assert gjg.oracle._family(v, k) is record
+        assert gjg.oracle._FAMILY == {(v, k): record}
+
+
 def _upper_edges(g):
     """(u, w) with u < w from the unpacked adjacency matrix."""
     dense = np.unpackbits(g.adj, axis=1, count=g.n).astype(bool)
@@ -336,6 +363,13 @@ class TestMeasurements:
             g = build_graph(p)
             # n <= C(9,4) = 126, so every source is searched.
             _assert_searches_match(g, [g.neighbors(u).tolist() for u in range(g.n)], t)
+
+    @pytest.mark.parametrize("measure", [search, bfs_distances])
+    def test_search_rejects_a_source_outside_the_graph(self, measure):
+        g = build_graph(P(5, 2, 0))
+        for source in (-1, g.n):
+            with pytest.raises(OutOfRange, match=rf"source {source} outside \[0, 10\)"):
+                measure(g, source)
 
     def test_search_on_cycles_matches_references(self):
         # The two back-neighbours of a cycle's antipode share a byte of the
