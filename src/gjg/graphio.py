@@ -30,9 +30,11 @@ def _checked_subset(p: Parameters, s: Sequence[int]) -> tuple[int, ...]:
     t = tuple(s)
     if len(t) != p.k:
         raise InvalidSet(f"expected {p.k} elements, got {len(t)}")
-    if any(not 0 <= e < p.v for e in t):
+    if not {*map(type, t)} <= {int}:  # bools are not elements
+        raise InvalidSet(f"elements must be integers, got {t}")
+    if t and not (0 <= min(t) and max(t) < p.v):
         raise InvalidSet(f"elements must lie in [0, {p.v}), got {t}")
-    if any(a >= b for a, b in zip(t, t[1:])):
+    if list(t) != sorted(set(t)):
         raise InvalidSet(f"elements must be strictly increasing, got {t}")
     return t
 
@@ -46,8 +48,8 @@ def rank(p: Parameters, s: Sequence[int]) -> int:
 def unrank(p: Parameters, r: int) -> tuple[int, ...]:
     """Inverse of rank: the k-subset with colex rank r."""
     n = comb(p.v, p.k)
-    if not 0 <= r < n:
-        raise OutOfRange(f"rank {r} outside [0, {n})")
+    if type(r) is not int or not 0 <= r < n:
+        raise OutOfRange(f"rank {r!r} is not an integer in [0, {n})")
     out = [0] * p.k
     e = p.v - 1
     for j in range(p.k, 0, -1):

@@ -49,7 +49,8 @@ class ExplicitGraph:
     ``np.packbits`` order: bit w of row u is set when u and w are adjacent.
     ``masks`` holds vertex u's k-subset as a uint64 bitmask; it is the only
     record of the subsets (``graphio.unrank`` spells one out).
-    Nothing about a graph changes after ``build_graph`` returns.
+    Nothing about a graph changes after ``build_graph`` returns: both
+    arrays are read-only, and a write raises ValueError.
     """
 
     params: Parameters
@@ -124,8 +125,11 @@ def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ranks = sum((table[elems[:, j], j] for j in range(k)), np.zeros(n, dtype=np.int64))
     if not np.array_equal(ranks, np.arange(n)):
         raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
+    record = masks, member.view(np.uint64), elems
+    for table in record:  # shared by every graph of the family
+        table.flags.writeable = False
     _FAMILY.clear()  # keep at most one family resident; they can be large
-    _FAMILY[(v, k)] = record = masks, member.view(np.uint64), elems
+    _FAMILY[(v, k)] = record
     return record
 
 
@@ -192,6 +196,7 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
         deg = np.bitwise_count(rows).sum(axis=1)
         if not np.all(deg == g.degree):
             raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
+    g.adj.flags.writeable = False
     return g
 
 

@@ -6,10 +6,16 @@ inputs always produce identical walks.  Walk lengths provably match the
 closed-form values in :mod:`gjg.formulas`; verify_walk rechecks the walk
 axioms independently.
 
+Every certificate is built by moving elements between the four parts
+that a pair of vertices A, B cuts the ground set into: A - B, A ∩ B,
+B - A and the outside of A ∪ B.  :func:`_split` is the one place that
+computes them.
+
 Constructions accept every non-degenerate triple: one with v < 2k is
 built on its normal form J(v, v-k, v-2k+i) and complemented back, since
 complementing every vertex set preserves adjacency.  Degenerate triples
-raise DegenerateClass from :func:`gjg.params.normalize`.
+raise DegenerateClass from :func:`gjg.params.normalize`, and end points
+with an element that is not an integer raise InvalidSet.
 """
 
 from __future__ import annotations
@@ -50,17 +56,29 @@ def as_vertex_set(p: Parameters, elements: Sequence[int]) -> VertexSet:
     return t
 
 
-def _ground_complement(p: Parameters, *sets: Sequence[int]) -> list[int]:
-    used = set()
-    for s in sets:
-        used.update(s)
+def _ground_complement(p: Parameters, s: Sequence[int]) -> list[int]:
+    used = set(s)
     return [e for e in range(p.v) if e not in used]
+
+
+def _split(p: Parameters, A: Sequence[int], B: Sequence[int]) -> tuple[list[int], ...]:
+    """(A - B, A ∩ B, B - A, outside A ∪ B), each ascending."""
+    sa, sb = set(A), set(B)
+    return sorted(sa - sb), sorted(sa & sb), sorted(sb - sa), _ground_complement(p, sa | sb)
+
+
+def _endpoints(p: Parameters, a: Sequence[int], b: Sequence[int]) -> tuple[VertexSet, VertexSet]:
+    """The caller's a and b as vertex sets; InvalidSet unless every element is an int."""
+    if not {*map(type, a), *map(type, b)} <= {int}:
+        raise InvalidSet(f"elements must be integers, got {tuple(a)} and {tuple(b)}")
+    return as_vertex_set(p, a), as_vertex_set(p, b)
 
 
 def verify_walk(p: Parameters, w: Walk) -> bool:
     """Independent check of the walk axioms; never raises.
 
-    Consecutive vertices must intersect in exactly i elements; paths have
+    Every vertex must be an ascending k-subset of range(v), and
+    consecutive vertices must intersect in exactly i elements; paths have
     distinct vertices; cycles are closed with distinct interior and at
     least 3 edges; closed walks are merely closed.  The claimed length
     must equal the number of edges traversed.
@@ -68,16 +86,14 @@ def verify_walk(p: Parameters, w: Walk) -> bool:
     vs = w.vertices
     if not vs:
         return False
-    for s in vs:
-        if len(s) != p.k or list(s) != sorted(set(s)):
-            return False
-        if s and (s[0] < 0 or s[-1] >= p.v):
-            return False
+    ground = set(range(p.v))
+    sets = [ground.intersection(s) for s in vs]  # drops elements outside range(v)
+    if any(len(s) != p.k or list(s) != sorted(m) for s, m in zip(vs, sets)):
+        return False
     if w.claimed_length != len(vs) - 1:
         return False
-    for a, b in zip(vs, vs[1:]):
-        if len(set(a) & set(b)) != p.i:
-            return False
+    if any(len(m & n) != p.i for m, n in zip(sets, sets[1:])):
+        return False
     if w.kind is WalkKind.PATH:
         return len(set(vs)) == len(vs)
     if w.kind is WalkKind.CYCLE:
@@ -94,19 +110,21 @@ def common_neighbor(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Vertex
     interval would do, the lower endpoint is the fixed choice.
     """
     q = normalize(p)
-    A, B = as_vertex_set(p, a), as_vertex_set(p, b)
+    A, B = _endpoints(p, a, b)
     if q is not p:
-        c = common_neighbor(q, _ground_complement(p, A), _ground_complement(p, B))
+        c = _common_neighbor(q, _ground_complement(p, A), _ground_complement(p, B))
         return tuple(_ground_complement(p, c))
-    shared = sorted(set(A) & set(B))
-    x = len(shared)
+    return _common_neighbor(p, A, B)
+
+
+def _common_neighbor(p: Parameters, A: Sequence[int], B: Sequence[int]) -> VertexSet:
+    # common_neighbor on a normalized triple, for vertex sets.
+    x = len(set(A) & set(B))
     if not has_common_neighbor(p, x):
         raise NoCommonNeighbor(f"|A ∩ B| = {x} < max(k - delta, 2i - k) in {p}")
     k, i = p.k, p.i
     s = max(0, i + x - k, 2 * i - k)
-    only_a = sorted(set(A) - set(B))
-    only_b = sorted(set(B) - set(A))
-    outside = _ground_complement(p, A, B)
+    only_a, shared, only_b, outside = _split(p, A, B)
     picked = shared[:s] + only_a[: i - s] + only_b[: i - s] + outside[: k - 2 * i + s]
     return as_vertex_set(p, picked)
 
@@ -138,22 +156,15 @@ def _even_route(p: Parameters, A: VertexSet, B: VertexSet) -> list[VertexSet]:
     round trip; two final hops go through a common neighbor.
     """
     k, i, d = p.k, p.i, delta(p)
-    shared = sorted(set(A) & set(B))
-    x = len(shared)
-    t = k - x
-    q, m = divmod(t - 1, d)
-    m += 1  # t = q*d + m with 0 < m <= d
     path = [A]
-    if q > 0:
-        az = sorted(set(A) - set(B))
-        bz = sorted(set(B) - set(A))
-        outside = _ground_complement(p, A, B)
-        for j in range(1, q + 1):
-            odd_step = outside + az[: (j - 1) * d + i] + bz[j * d - i :]
-            even_step = shared + bz[: j * d] + az[j * d :]
+    if (rounds := (k - len(set(A) & set(B)) - 1) // d) > 0:
+        only_a, shared, only_b, outside = _split(p, A, B)
+        for j in range(1, rounds + 1):
+            odd_step = outside + only_a[: (j - 1) * d + i] + only_b[j * d - i :]
+            even_step = shared + only_b[: j * d] + only_a[j * d :]
             path.append(as_vertex_set(p, odd_step))
             path.append(as_vertex_set(p, even_step))
-    path.append(common_neighbor(p, path[-1], B))
+    path.append(_common_neighbor(p, path[-1], B))
     path.append(B)
     return path
 
@@ -167,7 +178,7 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     single detour vertex when the distance is 3.
     """
     q = normalize(p)
-    A, B = as_vertex_set(p, a), as_vertex_set(p, b)
+    A, B = _endpoints(p, a, b)
     if q is not p:
         return complement_walk(p, geodesic(q, _ground_complement(p, A), _ground_complement(p, B)))
     x = len(set(A) & set(B))
@@ -180,39 +191,30 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     if p.graph_class is GraphClass.MATCHING:
         raise Disconnected(f"{p}: vertices with 0 < |A ∩ B| < k lie in different edges")
 
-    if x > i:
-        even_len = 2 * ceil_div(k - x, d)
-        odd_len = 2 * ceil_div(x - i, d) + 1
-        if even_len < odd_len:
-            path = _even_route(p, A, B)
-        else:
+    if x > i and ceil_div(k - x, d) <= ceil_div(x - i, d):
+        # The even route's 2*ceil((k-x)/delta) edges beat the
+        # 2*ceil((x-i)/delta) + 1 of one edge to a swapped start.
+        path = _even_route(p, A, B)
+    else:
+        only_a, shared, only_b, outside = _split(p, A, B)
+        if x > i:
             # Swap x - i core elements for outside ones: the new start is
             # adjacent to A and closer to B along the even route.
             swap = x - i
-            core_out = sorted(set(A) & set(B))[:swap]
-            fresh = _ground_complement(p, A, B)[:swap]
-            start = as_vertex_set(p, (set(B) - set(core_out)) | set(fresh))
+            start = as_vertex_set(p, only_b + shared[swap:] + outside[:swap])
             path = [A] + _even_route(p, start, B)
-    else:  # x < i
-        if x < k - d:
+        elif x < k - d:
             # Distance 3: detour raising the overlap with B to k - i + x.
-            only_a = sorted(set(A) - set(B))
-            only_b = sorted(set(B) - set(A))
-            detour = as_vertex_set(
-                p, only_a[: i - x] + sorted(set(A) & set(B)) + only_b[: k - i]
-            )
-            path = [A, detour, common_neighbor(p, detour, B), B]
+            detour = as_vertex_set(p, only_a[: i - x] + shared + only_b[: k - i])
+            path = [A, detour, _common_neighbor(p, detour, B), B]
         else:
             # Replace one (k-i)-block of A's private part per step, then
             # close through a common neighbor; at distance 2 no block moves.
             steps = ceil_div(k - x, k - i)
-            az = sorted(set(A) - set(B))
-            bz = sorted(set(B) - set(A))
-            shared = sorted(set(A) & set(B))
             path = [A]
             for j in range(1, steps - 1):
-                path.append(as_vertex_set(p, bz[: j * (k - i)] + az[j * (k - i) :] + shared))
-            path.append(common_neighbor(p, path[-1], B))
+                path.append(as_vertex_set(p, only_b[: j * (k - i)] + only_a[j * (k - i) :] + shared))
+            path.append(_common_neighbor(p, path[-1], B))
             path.append(B)
 
     expected = distance_by_intersection(p, x)
@@ -250,30 +252,16 @@ def shortest_cycle(p: Parameters) -> Walk:
 
     if g == 3:
         A, B = _canonical_adjacent_pair(p)
-        cyc = [A, B, common_neighbor(p, A, B)]
+        cyc = [A, B, _common_neighbor(p, A, B)]
     elif g == 4:
         if i >= 2 or p.v > 2 * k + 1:
             # Four singletons around two alternating (k-i-1)-blocks and a core.
-            a = [[j] for j in range(4)]
-            b1 = list(range(4, 3 + k - i))
-            b2 = list(range(3 + k - i, 2 + 2 * (k - i)))
+            blocks = [list(range(4, 3 + k - i)), list(range(3 + k - i, 2 + 2 * (k - i)))]
             core = list(range(2 + 2 * (k - i), 2 + 2 * (k - i) + i))
-            cyc = [
-                as_vertex_set(p, a[0] + b1 + core),
-                as_vertex_set(p, a[1] + b2 + core),
-                as_vertex_set(p, a[2] + b1 + core),
-                as_vertex_set(p, a[3] + b2 + core),
-            ]
-        else:  # i == 1
-            a = list(range(4))
-            b1 = list(range(4, 2 + k))
-            b2 = list(range(2 + k, k * 2))
-            cyc = [
-                as_vertex_set(p, [a[0], a[1]] + b1),
-                as_vertex_set(p, [a[1], a[2]] + b2),
-                as_vertex_set(p, [a[2], a[3]] + b1),
-                as_vertex_set(p, [a[3], a[0]] + b2),
-            ]
+            cyc = [as_vertex_set(p, [j] + blocks[j % 2] + core) for j in range(4)]
+        else:  # i == 1: consecutive pairs of 0..3 around two alternating blocks
+            blocks = [list(range(4, 2 + k)), list(range(2 + k, 2 * k))]
+            cyc = [as_vertex_set(p, [j, (j + 1) % 4] + blocks[j % 2]) for j in range(4)]
     elif g == 5:
         walk = odd_closed_walk(p)  # at (5,2,0) the minimum odd walk is a 5-cycle
         cyc = list(walk.vertices[:-1])
@@ -306,39 +294,23 @@ def odd_closed_walk(p: Parameters) -> Walk:
     k, i, d = p.k, p.i, delta(p)
 
     if girth(p) == 3:
-        tri = shortest_cycle(p)
-        walk = Walk(tri.vertices, WalkKind.CLOSED_WALK, tri.claimed_length)
-        if not verify_walk(p, walk):
-            raise AssertionError(f"odd_closed_walk built an invalid triangle for {p}")
-        return walk
-
-    if p.graph_class is GraphClass.ODD_GRAPH:
-        half = k // 2
-        if k % 2 == 0:
-            A = range(0, 2 * half)
-            B = range(half, 3 * half)
-            C = range(2 * half, 4 * half)
-        else:
-            A = range(0, 2 * half + 1)
-            B = range(half + 1, 3 * half + 2)
-            C = range(2 * half + 2, 4 * half + 3)
-        A, B, C = (as_vertex_set(p, s) for s in (A, B, C))
+        vertices = shortest_cycle(p).vertices
+    elif p.graph_class is GraphClass.ODD_GRAPH:
+        A, B, C = (as_vertex_set(p, range(s, s + k)) for s in (0, ceil_div(k, 2), k + k % 2))
         leg_ab = geodesic(p, A, B)
         leg_bc = geodesic(p, B, C)
         vertices = leg_ab.vertices + leg_bc.vertices[1:] + (A,)
     else:  # girth 4
         r = ceil_div(k - i, d)
         A, B = _canonical_adjacent_pair(p)
-        only_a = sorted(set(A) - set(B))
-        only_b = sorted(set(B) - set(A))
+        only_a, shared, only_b, outside = _split(p, A, B)
         if r % 2 == 1:
             doubled = k + i - d  # target overlaps (floor, ceil) of (k+i-delta)/2
-            core = _ground_complement(p, A, B)
             take_a, take_b = doubled // 2, doubled - doubled // 2
         else:
             doubled = k + i
-            core = sorted(set(A) & set(B))
             take_a, take_b = doubled // 2 - i, doubled - doubled // 2 - i
+        core = outside if r % 2 == 1 else shared
         apex = as_vertex_set(p, only_a[:take_a] + only_b[:take_b] + core)
         leg_a = geodesic(p, A, apex)
         leg_b = geodesic(p, B, apex)

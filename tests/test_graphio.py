@@ -46,7 +46,8 @@ class TestRankUnrank:
 
     def test_invalid_sets(self):
         p = P(6, 3, 0)
-        for bad in [(0, 1), (0, 1, 1), (1, 0, 2), (0, 1, 6), (-1, 0, 1)]:
+        for bad in [(0, 1), (0, 1, 1), (1, 0, 2), (0, 1, 6), (-1, 0, 1),
+                    (0, 1, 2.5), (0, 1.0, 2), (False, 1, 3), (0, 1, True), ("0", "1", "2")]:
             with pytest.raises(InvalidSet):
                 rank(p, bad)
 
@@ -56,6 +57,9 @@ class TestRankUnrank:
             unrank(p, -1)
         with pytest.raises(OutOfRange):
             unrank(p, math.comb(6, 3))
+        for bad in [1.5, 1.0, True, False, "1", None]:
+            with pytest.raises(OutOfRange):
+                unrank(p, bad)
 
     @given(st.integers(1, 16).flatmap(
         lambda v: st.tuples(st.just(v), st.integers(0, v))

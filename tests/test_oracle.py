@@ -156,6 +156,20 @@ class TestFamily:
             assert gjg.oracle._family(v, k) is record
         assert gjg.oracle._FAMILY == {(v, k): record}
 
+    def test_graph_arrays_are_read_only(self):
+        # Every graph of a (v, k) shares the cached family, so a caller's
+        # write must fail rather than reach the next build.
+        g = build_graph(P(5, 2, 0))
+        record = gjg.oracle._family(5, 2)
+        before = [table.copy() for table in record]
+        for table in (g.adj, g.masks, *record):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = table[0]
+        h = build_graph(P(5, 2, 1))
+        assert h.masks is g.masks and gjg.oracle._family(5, 2) is record
+        assert all(np.array_equal(a, b) for a, b in zip(record, before))
+        assert h.masks.tolist() == [3, 5, 6, 9, 10, 12, 17, 18, 20, 24]
+
 
 def _upper_edges(g):
     """(u, w) with u < w from the unpacked adjacency matrix."""
@@ -328,6 +342,7 @@ class TestMeasurements:
         # meeting it in i elements are: the profile is not a function of x.
         p = P(*triple)
         g = build_graph(p)
+        g = dataclasses.replace(g, adj=g.adj.copy())
         w = int(g.neighbors(0)[0])
         g.adj[0, w >> 3] &= ~np.uint8(0x80 >> (w & 7))
         g.adj[w, 0] &= ~np.uint8(0x80)

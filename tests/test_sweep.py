@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -140,6 +141,7 @@ class TestCheckPairing:
     # J(8,4,0) pairs rank r with 69 - r: row 0's partner is bit 5 of byte 8.
     def _failures(self, edits):
         g = build_graph(make_parameters(8, 4, 0))
+        g = dataclasses.replace(g, adj=g.adj.copy())
         for (row, col), byte in edits.items():
             g.adj[row, col] = byte
         res = TripleResult(8, 4, 0, g.n, "matching")

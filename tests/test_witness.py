@@ -1,10 +1,12 @@
+import hashlib
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjg.errors import DegenerateClass, Disconnected, NoCommonNeighbor, OutOfRange
+from gjg.errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor, OutOfRange
 from gjg.formulas import distance_by_intersection, girth, invariant_report, odd_girth
 from gjg.graphio import rank
 from gjg.oracle import bfs_distances, build_graph, oracle_girth, oracle_odd_girth
@@ -56,6 +58,14 @@ class TestVerifyWalk:
         assert verify_walk(p, w) is False
         assert verify_walk(p, Walk(w.vertices, WalkKind.CLOSED_WALK, 2)) is True
 
+    @pytest.mark.parametrize("vertex", [(0, 1.5), (-1, 1), (1, 5), (0.5, 2), ("0", "1")])
+    def test_vertex_outside_the_ground_set(self, vertex):
+        # An element that is not one of 0..v-1 makes a walk invalid, even
+        # when the intersection sizes along it would pass.
+        p = P(5, 2, 0)
+        for w in [Walk((vertex, (2, 3)), WalkKind.PATH, 1), Walk(((2, 3), vertex), WalkKind.PATH, 1)]:
+            assert verify_walk(p, w) is False
+
 
 class TestCommonNeighbor:
     def test_disjoint_sets_large_ground(self):
@@ -68,6 +78,17 @@ class TestCommonNeighbor:
         p = P(8, 4, 1)
         c = common_neighbor(p, (0, 1, 2, 3), (0, 1, 2, 3))
         assert len(set(c) & {0, 1, 2, 3}) == 1
+
+    @pytest.mark.parametrize("triple", [(5, 2, 0), (7, 4, 2)])  # (7,4,2) lifts
+    @pytest.mark.parametrize("build", [common_neighbor, geodesic])
+    def test_rejects_non_integer_elements(self, build, triple):
+        p = P(*triple)
+        a = tuple(range(p.k))
+        b = tuple(range(p.v - p.k, p.v))
+        for bad in [(*a[:-1], a[-1] + 0.5), (*a[:-1], float(a[-1])), (True, *a[1:])]:
+            for args in [(bad, b), (b, bad)]:
+                with pytest.raises(InvalidSet, match="elements must be integers"):
+                    build(p, *args)
 
     def test_petersen_disjoint_fails(self):
         with pytest.raises(NoCommonNeighbor):
@@ -331,3 +352,45 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Every triple with v <= 12 (degenerate and lifted ones included) and four
+# larger ones, reaching every branch of every construction.
+DIGEST_TRIPLES = [
+    (v, k, i) for v in range(2, 13) for k in range(v + 1) for i in range(k + 1)
+] + [(201, 100, 0), (64, 20, 5), (40, 13, 0), (33, 20, 9)]
+
+
+def test_constructions_are_pinned_by_a_digest():
+    # Hashes every construction's result on each triple's canonical pairs
+    # and 3 seeded random pairs: the walk's kind, length and vertices, the
+    # common neighbor, or the exception type and message.  A refactor of
+    # the constructions must leave every walk, and so this digest, as is.
+    rng = random.Random(10)
+    digest = hashlib.sha256()
+    calls = 0
+
+    def record(build, *args):
+        nonlocal calls
+        calls += 1
+        try:
+            r = build(*args)
+        except Exception as e:  # an error is part of the result
+            line = f"{type(e).__name__}: {e}"
+        else:
+            line = repr(r) if isinstance(r, tuple) else f"{r.kind.value} {r.claimed_length} {r.vertices}"
+        digest.update(line.encode() + b"\n")
+
+    for t in DIGEST_TRIPLES:
+        p = P(*t)
+        record(shortest_cycle, p)
+        record(odd_closed_walk, p)
+        pairs = [canonical_pair(p, x) for x in intersection_range(p)]
+        pairs += [
+            tuple(tuple(sorted(rng.sample(range(p.v), p.k))) for _ in "ab") for _ in range(3)
+        ]
+        for a, b in pairs:
+            record(geodesic, p, a, b)
+            record(common_neighbor, p, a, b)
+    assert calls == 6676
+    assert digest.hexdigest() == "c85abe79e0178c142f747de4b7e8a6ee3b8612e43cce8055a8b52b93d4616aef"
