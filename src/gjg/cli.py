@@ -14,7 +14,7 @@ import sys
 from . import graphio, oracle, witness
 from .errors import GJGError
 from .formulas import invariant_report
-from .params import Parameters, delta, make_parameters
+from .params import Parameters, delta, make_parameters, vertex
 from .sweep import SweepConfig, run_sweep, sweep_triples
 from .witness import Walk
 
@@ -38,7 +38,7 @@ class _UsageError(GJGError):
 
 def _parse_set(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(sorted(int(part) for part in text.split(",") if part != ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -71,7 +71,7 @@ def _budget(args) -> int:
 def _vertex_pair(p: Parameters, args, usage: str):
     """The pair --a/--b, else the canonical pair meeting in --x elements."""
     if args.a is not None and args.b is not None:
-        return witness.as_vertex_set(p, args.a), witness.as_vertex_set(p, args.b)
+        return vertex(p, args.a), vertex(p, args.b)
     if args.x is None:
         raise _UsageError(usage)
     return witness.canonical_pair(p, args.x)  # range-checks x

@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidSet, OutOfRange
-from .params import Parameters, delta
+from .errors import OutOfRange
+from .params import Parameters, delta, vertex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .formulas import InvariantReport
@@ -26,23 +26,9 @@ _PAD = 0  # filler in the label tables; never a byte of an ASCII payload
 _BLOCK = 1 << 16  # edges encoded per step
 
 
-def _checked_subset(p: Parameters, s: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(s)
-    if len(t) != p.k:
-        raise InvalidSet(f"expected {p.k} elements, got {len(t)}")
-    if not {*map(type, t)} <= {int}:  # bools are not elements
-        raise InvalidSet(f"elements must be integers, got {t}")
-    if t and not (0 <= min(t) and max(t) < p.v):
-        raise InvalidSet(f"elements must lie in [0, {p.v}), got {t}")
-    if list(t) != sorted(set(t)):
-        raise InvalidSet(f"elements must be strictly increasing, got {t}")
-    return t
-
-
 def rank(p: Parameters, s: Sequence[int]) -> int:
-    """Colex rank of a sorted k-subset; {0,...,k-1} ranks 0."""
-    t = _checked_subset(p, s)
-    return sum(comb(e, j + 1) for j, e in enumerate(t))
+    """Colex rank of a vertex (see :func:`gjg.params.vertex`); {0,...,k-1} ranks 0."""
+    return sum(comb(e, j + 1) for j, e in enumerate(vertex(p, s)))
 
 
 def unrank(p: Parameters, r: int) -> tuple[int, ...]:

@@ -37,6 +37,8 @@ MAX_GROUND_SET = 64
 
 INFINITE = math.inf
 
+# Memory limit files of cgroup v2, then v1 (which reads a huge number when unlimited).
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 _SLAB = 1 << 16  # elements per vectorized step: bits or bytes of packed rows
 _CROSS_CHECKS = 3  # extra random sources behind every per-source measurement
 
@@ -201,11 +203,21 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
 
 
 def _physical_memory() -> int | float:
-    """Bytes of physical memory; unbounded where the OS does not say."""
+    """Bytes of physical memory, capped by a cgroup memory limit; unbounded
+    where neither the OS nor a cgroup says."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return INFINITE
+        memory = INFINITE
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as fh:
+                limit = fh.read().strip()
+        except OSError:
+            continue
+        if limit.isdigit():  # cgroup v2 reads "max" when there is no limit
+            memory = min(memory, int(limit))
+    return memory
 
 
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:

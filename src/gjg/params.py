@@ -5,15 +5,17 @@ adjacent exactly when their intersection has size i.  The constructor
 accepts any triple with v >= k >= i >= 0 and classifies it.  The closed
 forms require the normalized form v >= 2k, reachable through
 :func:`normalize` (complementing every vertex set); the witness
-constructions and invariant_report call it themselves.
+constructions and invariant_report call it themselves.  A vertex is
+what :func:`vertex` accepts; every entry point that takes one asks it.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
-from .errors import DegenerateClass, InvalidOrder
+from .errors import DegenerateClass, InvalidOrder, InvalidSet
 
 
 class GraphClass(enum.Enum):
@@ -108,3 +110,22 @@ def normalize(p: Parameters) -> Parameters:
 def intersection_range(p: Parameters) -> range:
     """Possible |A ∩ B| for two k-subsets of a v-set: max(0, 2k-v) .. k."""
     return range(max(0, 2 * p.k - p.v), p.k + 1)
+
+
+def vertex(p: Parameters, s) -> tuple[int, ...]:
+    """s as a vertex of J(v,k,i): exactly k ints (bools and numpy integers
+    are not), strictly increasing, inside range(v).  Raises InvalidSet
+    for anything else, including a value that is not a sequence."""
+    try:
+        t = tuple(s)
+    except TypeError:
+        raise InvalidSet(f"expected a sequence of {p.k} elements, got {s!r}") from None
+    if len(t) != p.k:
+        raise InvalidSet(f"expected {p.k} elements, got {len(t)}")
+    if not {*map(type, t)} <= {int}:
+        raise InvalidSet(f"elements must be integers, got {t}")
+    if not all(map(operator.lt, t, t[1:])):
+        raise InvalidSet(f"elements must be strictly increasing, got {t}")
+    if t and not (0 <= t[0] and t[-1] < p.v):
+        raise InvalidSet(f"elements must lie in [0, {p.v}), got {t}")
+    return t

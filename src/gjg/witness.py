@@ -14,8 +14,9 @@ computes them.
 Constructions accept every non-degenerate triple: one with v < 2k is
 built on its normal form J(v, v-k, v-2k+i) and complemented back, since
 complementing every vertex set preserves adjacency.  Degenerate triples
-raise DegenerateClass from :func:`gjg.params.normalize`, and end points
-with an element that is not an integer raise InvalidSet.
+raise DegenerateClass from :func:`gjg.params.normalize`, and an end point
+that :func:`gjg.params.vertex` rejects raises InvalidSet; end points are
+never sorted for the caller.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from .errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor, OutOfRange
 from .formulas import ceil_div, distance_by_intersection, girth, has_common_neighbor, odd_girth
-from .params import GraphClass, Parameters, delta, intersection_range, normalize
+from .params import GraphClass, Parameters, delta, intersection_range, normalize, vertex
 
 VertexSet = tuple[int, ...]
 
@@ -46,16 +47,6 @@ class Walk:
     claimed_length: int
 
 
-def as_vertex_set(p: Parameters, elements: Sequence[int]) -> VertexSet:
-    """Sorted, validated k-subset of the ground set."""
-    t = tuple(sorted(elements))
-    if len(t) != p.k or len(set(t)) != p.k:
-        raise InvalidSet(f"expected {p.k} distinct elements, got {tuple(elements)}")
-    if t and not (0 <= t[0] and t[-1] < p.v):
-        raise InvalidSet(f"elements outside [0, {p.v}): {t}")
-    return t
-
-
 def _ground_complement(p: Parameters, s: Sequence[int]) -> list[int]:
     used = set(s)
     return [e for e in range(p.v) if e not in used]
@@ -67,31 +58,22 @@ def _split(p: Parameters, A: Sequence[int], B: Sequence[int]) -> tuple[list[int]
     return sorted(sa - sb), sorted(sa & sb), sorted(sb - sa), _ground_complement(p, sa | sb)
 
 
-def _endpoints(p: Parameters, a: Sequence[int], b: Sequence[int]) -> tuple[VertexSet, VertexSet]:
-    """The caller's a and b as vertex sets; InvalidSet unless every element is an int."""
-    if not {*map(type, a), *map(type, b)} <= {int}:
-        raise InvalidSet(f"elements must be integers, got {tuple(a)} and {tuple(b)}")
-    return as_vertex_set(p, a), as_vertex_set(p, b)
-
-
 def verify_walk(p: Parameters, w: Walk) -> bool:
     """Independent check of the walk axioms; never raises.
 
-    Every vertex must be an ascending k-subset of range(v), and
-    consecutive vertices must intersect in exactly i elements; paths have
-    distinct vertices; cycles are closed with distinct interior and at
-    least 3 edges; closed walks are merely closed.  The claimed length
-    must equal the number of edges traversed.
+    Every vertex must pass :func:`gjg.params.vertex` (a rejected one makes
+    the walk False), and consecutive vertices must intersect in exactly i
+    elements; paths have distinct vertices; cycles are closed with
+    distinct interior and at least 3 edges; closed walks are merely
+    closed.  The claimed length must equal the number of edges traversed.
     """
-    vs = w.vertices
-    if not vs:
+    try:
+        vs = [vertex(p, s) for s in w.vertices]
+    except (InvalidSet, TypeError):  # TypeError: vertices is not a sequence
         return False
-    ground = set(range(p.v))
-    sets = [ground.intersection(s) for s in vs]  # drops elements outside range(v)
-    if any(len(s) != p.k or list(s) != sorted(m) for s, m in zip(vs, sets)):
+    if not vs or w.claimed_length != len(vs) - 1:
         return False
-    if w.claimed_length != len(vs) - 1:
-        return False
+    sets = [set(s) for s in vs]
     if any(len(m & n) != p.i for m, n in zip(sets, sets[1:])):
         return False
     if w.kind is WalkKind.PATH:
@@ -110,7 +92,7 @@ def common_neighbor(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Vertex
     interval would do, the lower endpoint is the fixed choice.
     """
     q = normalize(p)
-    A, B = _endpoints(p, a, b)
+    A, B = vertex(p, a), vertex(p, b)
     if q is not p:
         c = _common_neighbor(q, _ground_complement(p, A), _ground_complement(p, B))
         return tuple(_ground_complement(p, c))
@@ -126,7 +108,7 @@ def _common_neighbor(p: Parameters, A: Sequence[int], B: Sequence[int]) -> Verte
     s = max(0, i + x - k, 2 * i - k)
     only_a, shared, only_b, outside = _split(p, A, B)
     picked = shared[:s] + only_a[: i - s] + only_b[: i - s] + outside[: k - 2 * i + s]
-    return as_vertex_set(p, picked)
+    return tuple(sorted(picked))
 
 
 def _canonical_adjacent_pair(p: Parameters) -> tuple[VertexSet, VertexSet]:
@@ -162,8 +144,8 @@ def _even_route(p: Parameters, A: VertexSet, B: VertexSet) -> list[VertexSet]:
         for j in range(1, rounds + 1):
             odd_step = outside + only_a[: (j - 1) * d + i] + only_b[j * d - i :]
             even_step = shared + only_b[: j * d] + only_a[j * d :]
-            path.append(as_vertex_set(p, odd_step))
-            path.append(as_vertex_set(p, even_step))
+            path.append(tuple(sorted(odd_step)))
+            path.append(tuple(sorted(even_step)))
     path.append(_common_neighbor(p, path[-1], B))
     path.append(B)
     return path
@@ -178,7 +160,7 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     single detour vertex when the distance is 3.
     """
     q = normalize(p)
-    A, B = _endpoints(p, a, b)
+    A, B = vertex(p, a), vertex(p, b)
     if q is not p:
         return complement_walk(p, geodesic(q, _ground_complement(p, A), _ground_complement(p, B)))
     x = len(set(A) & set(B))
@@ -201,11 +183,11 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
             # Swap x - i core elements for outside ones: the new start is
             # adjacent to A and closer to B along the even route.
             swap = x - i
-            start = as_vertex_set(p, only_b + shared[swap:] + outside[:swap])
+            start = tuple(sorted(only_b + shared[swap:] + outside[:swap]))
             path = [A] + _even_route(p, start, B)
         elif x < k - d:
             # Distance 3: detour raising the overlap with B to k - i + x.
-            detour = as_vertex_set(p, only_a[: i - x] + shared + only_b[: k - i])
+            detour = tuple(sorted(only_a[: i - x] + shared + only_b[: k - i]))
             path = [A, detour, _common_neighbor(p, detour, B), B]
         else:
             # Replace one (k-i)-block of A's private part per step, then
@@ -213,7 +195,7 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
             steps = ceil_div(k - x, k - i)
             path = [A]
             for j in range(1, steps - 1):
-                path.append(as_vertex_set(p, only_b[: j * (k - i)] + only_a[j * (k - i) :] + shared))
+                path.append(tuple(sorted(only_b[: j * (k - i)] + only_a[j * (k - i) :] + shared)))
             path.append(_common_neighbor(p, path[-1], B))
             path.append(B)
 
@@ -227,17 +209,10 @@ def _six_cycle(p: Parameters) -> list[VertexSet]:
     # Explicit 6-cycle in J(2k+1, k, 0) for k >= 3: consecutive sets are
     # disjoint, alternating between low and high halves of the ground set.
     k = p.k
-    lo = list(range(k - 1))
-    hi = list(range(k, 2 * k - 1))
-    cyc = [
-        list(range(k)),
-        list(range(k, 2 * k)),
-        lo + [2 * k],
-        list(range(k - 1, 2 * k - 1)),
-        lo + [2 * k - 1],
-        hi + [2 * k],
-    ]
-    return [as_vertex_set(p, c) for c in cyc]
+    lo = tuple(range(k - 1))
+    hi = tuple(range(k, 2 * k - 1))
+    return [tuple(range(k)), tuple(range(k, 2 * k)), lo + (2 * k,),
+            tuple(range(k - 1, 2 * k - 1)), lo + (2 * k - 1,), hi + (2 * k,)]
 
 
 def shortest_cycle(p: Parameters) -> Walk:
@@ -258,10 +233,10 @@ def shortest_cycle(p: Parameters) -> Walk:
             # Four singletons around two alternating (k-i-1)-blocks and a core.
             blocks = [list(range(4, 3 + k - i)), list(range(3 + k - i, 2 + 2 * (k - i)))]
             core = list(range(2 + 2 * (k - i), 2 + 2 * (k - i) + i))
-            cyc = [as_vertex_set(p, [j] + blocks[j % 2] + core) for j in range(4)]
+            cyc = [tuple(sorted([j] + blocks[j % 2] + core)) for j in range(4)]
         else:  # i == 1: consecutive pairs of 0..3 around two alternating blocks
             blocks = [list(range(4, 2 + k)), list(range(2 + k, 2 * k))]
-            cyc = [as_vertex_set(p, [j, (j + 1) % 4] + blocks[j % 2]) for j in range(4)]
+            cyc = [tuple(sorted([j, (j + 1) % 4] + blocks[j % 2])) for j in range(4)]
     elif g == 5:
         walk = odd_closed_walk(p)  # at (5,2,0) the minimum odd walk is a 5-cycle
         cyc = list(walk.vertices[:-1])
@@ -296,7 +271,7 @@ def odd_closed_walk(p: Parameters) -> Walk:
     if girth(p) == 3:
         vertices = shortest_cycle(p).vertices
     elif p.graph_class is GraphClass.ODD_GRAPH:
-        A, B, C = (as_vertex_set(p, range(s, s + k)) for s in (0, ceil_div(k, 2), k + k % 2))
+        A, B, C = (tuple(range(s, s + k)) for s in (0, ceil_div(k, 2), k + k % 2))
         leg_ab = geodesic(p, A, B)
         leg_bc = geodesic(p, B, C)
         vertices = leg_ab.vertices + leg_bc.vertices[1:] + (A,)
@@ -311,7 +286,7 @@ def odd_closed_walk(p: Parameters) -> Walk:
             doubled = k + i
             take_a, take_b = doubled // 2 - i, doubled - doubled // 2 - i
         core = outside if r % 2 == 1 else shared
-        apex = as_vertex_set(p, only_a[:take_a] + only_b[:take_b] + core)
+        apex = tuple(sorted(only_a[:take_a] + only_b[:take_b] + core))
         leg_a = geodesic(p, A, apex)
         leg_b = geodesic(p, B, apex)
         if not leg_a.claimed_length == leg_b.claimed_length == r:

@@ -78,6 +78,19 @@ class TestDistance:
         assert "geodesic of length 3" in out
         assert "verified: true" in out
 
+    def test_sets_in_any_input_order(self, capsys):
+        # The CLI sorts what the user typed; the library never does.
+        triple = ["--v", "8", "--k", "4", "--i", "1"]
+        unsorted = run(capsys, "distance", *triple, "--a", "3,2,1,0", "--b", "7,6,5,4", "--witness")
+        ordered = run(capsys, "distance", *triple, "--a", "0,1,2,3", "--b", "4,5,6,7", "--witness")
+        assert unsorted == ordered and unsorted[0] == 0
+
+    def test_repeated_element_exit_1(self, capsys):
+        code, out, err = run(capsys, "distance", "--v", "8", "--k", "4", "--i", "1",
+                             "--a", "0,1,1,2", "--b", "4,5,6,7")
+        assert (code, out) == (1, "")
+        assert err == "error: elements must be strictly increasing, got (0, 1, 1, 2)\n"
+
     def test_out_of_range_exit_1(self, capsys):
         code, _, err = run(capsys, "distance", "--v", "10", "--k", "4", "--i", "2",
                            "--x", "9")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import sys
 import tracemalloc
 from collections import Counter, deque
@@ -116,6 +117,27 @@ class TestBuildGraph:
         monkeypatch.setattr(gjg.oracle, "_physical_memory", lambda: 10**6)
         with pytest.raises(BudgetExceeded, match="physical memory 1000000"):
             build_graph(P(14, 7, 3))  # adj is 1.47 MB
+
+    @pytest.mark.parametrize("v2, v1, capped", [
+        ("max\n", "9223372036854771712\n", False),  # no limit in either version
+        (None, "9223372036854771712\n", False),
+        ("1048576\n", None, True),
+        (None, "1048576\n", True),
+        ("max\n", "1048576\n", True),
+        (None, None, False),
+    ])
+    def test_physical_memory_is_capped_by_the_cgroup_limit(self, monkeypatch, tmp_path, v2, v1, capped):
+        paths = []
+        for name, text in [("memory.max", v2), ("memory.limit_in_bytes", v1)]:
+            paths.append(str(tmp_path / name))
+            if text is not None:
+                (tmp_path / name).write_text(text)
+        monkeypatch.setattr(gjg.oracle, "_CGROUP_LIMITS", tuple(paths))
+        sysconf = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert gjg.oracle._physical_memory() == (1048576 if capped else sysconf)
+        if capped:
+            with pytest.raises(BudgetExceeded, match="physical memory 1048576"):
+                build_graph(P(14, 7, 3))  # adj is 1.47 MB
 
     def test_builds_within_physical_memory(self, monkeypatch):
         monkeypatch.setattr(gjg.oracle, "_physical_memory", lambda: 4 << 20)

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gjg.errors import DegenerateClass, InvalidOrder
-from gjg.params import GraphClass, delta, intersection_range, make_parameters, normalize
+from gjg.errors import DegenerateClass, GJGError, InvalidOrder, InvalidSet
+from gjg.graphio import rank
+from gjg.params import GraphClass, delta, intersection_range, make_parameters, normalize, vertex
+from gjg.witness import Walk, WalkKind, common_neighbor, geodesic, verify_walk
 
 
 @pytest.mark.parametrize(
@@ -102,3 +105,83 @@ def test_intersection_range_bounds(t):
     r = intersection_range(p)
     assert r.start == max(0, 2 * p.k - p.v)
     assert r.stop == p.k + 1
+
+
+def _bad_vertices(p):
+    # Wrong values, each a = (0, ..., k-1) with one fault (the float, bool
+    # and numpy cases equal a under ==), then wrong shapes.
+    a = tuple(range(p.k))
+    return {
+        "float": (*a[:-1], float(a[-1])),
+        "bool": (a[0], True, *a[2:]),
+        "numpy integer": (np.int64(0), *a[1:]),
+        "string": (*a[:-1], str(a[-1])),
+        "negative": (-1, *a[1:]),
+        "too large": (*a[:-1], p.v),
+        "unsorted": a[::-1],
+        "duplicated": (a[0], a[0], *a[2:]),
+        "too short": a[:-1],
+        "too long": (*a, p.v - 1),
+        "integer": 5,
+        "None": None,
+    }
+
+
+def _accepted(p, a, b):
+    # The entry points that take a vertex and accept the pair a, b.
+    def takes(build, *args):
+        try:
+            build(p, *args)
+        except InvalidSet:
+            return False
+        except GJGError:  # an answer about the pair, not about a vertex
+            pass
+        return True
+
+    found = {
+        "rank": takes(rank, a) and takes(rank, b),
+        "verify_walk": verify_walk(p, Walk((a, b), WalkKind.PATH, 1)),
+        "geodesic": takes(geodesic, a, b),
+        "common_neighbor": takes(common_neighbor, a, b),
+    }
+    return [name for name, yes in found.items() if yes]
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 0), (8, 4, 1), (7, 4, 2)])  # (7,4,2) lifts
+def test_every_entry_point_rejects_the_same_vertices(triple):
+    p = make_parameters(*triple)
+    a = tuple(range(p.k))
+    b = tuple(range(p.k - p.i, 2 * p.k - p.i))  # adjacent to a
+    assert _accepted(p, a, b) == ["rank", "verify_walk", "geodesic", "common_neighbor"]
+    for name, bad in _bad_vertices(p).items():
+        with pytest.raises(InvalidSet):
+            vertex(p, bad)
+        assert _accepted(p, bad, b) == _accepted(p, b, bad) == [], name
+
+
+def test_vertex_returns_a_tuple_and_names_the_fault():
+    p = make_parameters(6, 3, 1)
+    assert vertex(p, [0, 2, 5]) == (0, 2, 5)
+    assert vertex(p, range(3)) == (0, 1, 2)
+    assert vertex(make_parameters(3, 0, 0), ()) == ()
+    with pytest.raises(InvalidSet, match="strictly increasing"):
+        vertex(p, (2, 0, 5))
+    with pytest.raises(InvalidSet, match="expected a sequence of 3 elements"):
+        vertex(p, 5)
+
+
+def test_params_imports_only_errors():
+    # params holds the shared definitions under graphio, witness, oracle
+    # and cli, so it may depend on nothing in the package but the errors.
+    import ast
+    import inspect
+
+    import gjg.params
+
+    pulled = set()
+    for node in ast.walk(ast.parse(inspect.getsource(gjg.params))):
+        if isinstance(node, ast.ImportFrom):
+            pulled.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            pulled.update(a.name for a in node.names)
+    assert {m for m in pulled if m.startswith(".") or m.startswith("gjg")} == {".errors"}

@@ -58,6 +58,15 @@ class TestVerifyWalk:
         assert verify_walk(p, w) is False
         assert verify_walk(p, Walk(w.vertices, WalkKind.CLOSED_WALK, 2)) is True
 
+    def test_never_raises_on_odd_containers(self):
+        # List vertices are read like tuples; vertices that are not a
+        # sequence make an invalid walk, not an error.
+        p = P(5, 2, 0)
+        assert verify_walk(p, Walk(([0, 1], [2, 3]), WalkKind.PATH, 1)) is True
+        assert verify_walk(p, Walk(([0, 1], [2, 3], [0, 1]), WalkKind.PATH, 2)) is False
+        assert verify_walk(p, Walk(None, WalkKind.PATH, 0)) is False
+        assert verify_walk(p, Walk(5, WalkKind.PATH, 0)) is False
+
     @pytest.mark.parametrize("vertex", [(0, 1.5), (-1, 1), (1, 5), (0.5, 2), ("0", "1")])
     def test_vertex_outside_the_ground_set(self, vertex):
         # An element that is not one of 0..v-1 makes a walk invalid, even
