@@ -53,7 +53,7 @@ def _parse_jobs(text: str) -> int | str:
 def _add_triple(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--v", type=int, required=True, help="ground set size")
     sub.add_argument("--k", type=int, required=True, help="subset size")
-    sub.add_argument("--i", type=int, required=True, help="required intersection size")
+    sub.add_argument("--i", type=int, required=True, help="|A ∩ B| of adjacent vertices")
 
 
 def _budget(args) -> int:
@@ -195,9 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--emit", choices=["text", "structured"], default="text")
     s.set_defaults(func=cmd_invariants)
 
-    s = subs.add_parser("distance", help="distance for an intersection size or vertex pair")
+    s = subs.add_parser("distance", help="distance for a given |A ∩ B| or vertex pair")
     _add_triple(s)
-    s.add_argument("--x", type=int, default=None, help="intersection size")
+    s.add_argument("--x", type=int, default=None, help="|A ∩ B| of the canonical pair")
     s.add_argument("--a", type=_parse_set, default=None, help="first vertex, e.g. 0,1,2,3")
     s.add_argument("--b", type=_parse_set, default=None, help="second vertex")
     s.add_argument("--witness", action="store_true", help="also print a geodesic")

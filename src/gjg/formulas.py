@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateClass, OutOfRange, Unsupported
+from .errors import DegenerateClass, Unsupported
 from .params import (
     GraphClass,
     Parameters,
     delta,
     intersection_range,
+    intersection_size,
     make_parameters,
     normalize,
 )
@@ -35,12 +36,6 @@ def _require_normalized(p: Parameters) -> None:
         raise ValueError(f"{p} is not normalized (v < 2k); call normalize() first")
 
 
-def _check_x(p: Parameters, x: int) -> None:
-    if x not in intersection_range(p):
-        r = intersection_range(p)
-        raise OutOfRange(f"intersection size {x} outside [{r.start}, {r.stop - 1}] for {p}")
-
-
 def has_common_neighbor(p: Parameters, x: int) -> bool:
     """Whether two vertices with intersection x share a neighbor.
 
@@ -49,8 +44,7 @@ def has_common_neighbor(p: Parameters, x: int) -> bool:
     if p.is_degenerate:
         raise DegenerateClass(f"{p} has no edges")
     _require_normalized(p)
-    _check_x(p, x)
-    return x >= max(p.k - delta(p), 2 * p.i - p.k)
+    return intersection_size(p, x) >= max(p.k - delta(p), 2 * p.i - p.k)
 
 
 def girth(p: Parameters) -> int | None:
@@ -84,15 +78,15 @@ def odd_girth(p: Parameters) -> int | None:
 
 
 def distance_by_intersection(p: Parameters, x: int):
-    """Distance between any two vertices whose intersection has size x.
+    """Distance between any two vertices A, B with |A ∩ B| = x.
 
     Well defined because the symmetric group on the ground set acts
-    transitively on ordered pairs with fixed intersection size.  Returns
+    transitively on ordered pairs with fixed |A ∩ B|.  Returns
     math.inf for unreachable pairs (matchings only).
     """
     if p.is_degenerate:
         raise DegenerateClass(f"{p} has no distance function")
-    _check_x(p, x)
+    intersection_size(p, x)
     if p.graph_class is GraphClass.MATCHING:
         if x == p.k:
             return 0
@@ -159,13 +153,12 @@ def invariant_report(p: Parameters) -> InvariantReport:
     """All invariants of J(v,k,i), total over every accepted triple.
 
     For v < 2k the values are computed on the normalized triple and the
-    profile re-indexed back via x' -> x' + (2k - v), since complementation
-    shifts intersection sizes by v - 2k.
+    profile shifted back by intersection_range(p).start (see normalize).
     """
     if p.is_degenerate:
         return _degenerate_report(p)
     q = normalize(p)
-    shift = 2 * p.k - p.v if not p.is_normalized else 0
+    shift = intersection_range(p).start
     profile = {
         x + shift: distance_by_intersection(q, x) for x in intersection_range(q)
     }

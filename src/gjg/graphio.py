@@ -122,7 +122,7 @@ def export_report(r: "InvariantReport | OracleReport") -> bytes:
     """Line-oriented key/value rendering of a report, stable key order.
 
     Keys: schema, v, k, i, delta, class, girth, odd_girth, diameter,
-    distance_profile (one indented line per intersection size), and
+    distance_profile (one indented line per |A ∩ B|), and
     connected for oracle-side reports.
     """
     p = r.params

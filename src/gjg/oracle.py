@@ -17,7 +17,7 @@ independence, every such value is still cross-checked from randomly
 chosen extra sources.  One BFS per source (``search``) measures all
 of them; the caller holds the searches, and a built graph never changes.
 Distances come from one measurement, the profile: BFS from a source to
-every vertex, a function of their intersection size.
+every vertex, a function of the size of their intersection.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, OutOfRange, Unsupported
-from .params import Parameters, intersection_range
+from .params import Parameters, intersection_range, intersection_size
 
 DEFAULT_VERTEX_BUDGET = 20_000
 MAX_GROUND_SET = 64
@@ -345,11 +345,9 @@ def distance_profile(g: ExplicitGraph, found: Search) -> dict[int, int | float]:
 
 def oracle_distance(g: ExplicitGraph, x: int):
     """BFS distance between vertices meeting in x elements, read from the
-    distance profile agreed by ``report_from_graph``."""
-    r = intersection_range(g.params)
-    if x not in r:
-        raise OutOfRange(f"intersection size {x} outside [{r.start}, {r.stop - 1}]")
-    return report_from_graph(g).distance_profile[x]
+    distance profile agreed by ``report_from_graph``.  Raises OutOfRange
+    unless x passes ``params.intersection_size``."""
+    return report_from_graph(g).distance_profile[intersection_size(g.params, x)]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ accepts any triple with v >= k >= i >= 0 and classifies it.  The closed
 forms require the normalized form v >= 2k, reachable through
 :func:`normalize` (complementing every vertex set); the witness
 constructions and invariant_report call it themselves.  A vertex is
-what :func:`vertex` accepts; every entry point that takes one asks it.
+what :func:`vertex` accepts, an intersection size what
+:func:`intersection_size` accepts; every entry point that takes one asks it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import enum
 import operator
 from dataclasses import dataclass
 
-from .errors import DegenerateClass, InvalidOrder, InvalidSet
+from .errors import DegenerateClass, InvalidOrder, InvalidSet, OutOfRange
 
 
 class GraphClass(enum.Enum):
@@ -97,8 +98,10 @@ def normalize(p: Parameters) -> Parameters:
 
     J(v,k,i) and J(v, v-k, v-2k+i) are isomorphic via complementation of
     every vertex set; when v < 2k the latter satisfies v >= 2k'.  Identity
-    for already-normalized input; never produces a matching unless given
-    one.  Raises DegenerateClass for empty or edgeless input.
+    for already-normalized input, so a pair meeting in x in p meets in
+    x - intersection_range(p).start in the result (v - 2k + x when
+    complemented).  Never produces a matching unless given one.  Raises
+    DegenerateClass for empty or edgeless input.
     """
     if p.is_degenerate:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) has no normal form")
@@ -110,6 +113,17 @@ def normalize(p: Parameters) -> Parameters:
 def intersection_range(p: Parameters) -> range:
     """Possible |A ∩ B| for two k-subsets of a v-set: max(0, 2k-v) .. k."""
     return range(max(0, 2 * p.k - p.v), p.k + 1)
+
+
+def intersection_size(p: Parameters, x) -> int:
+    """x as a possible |A ∩ B| in J(v,k,i): an int (bools and numpy integers
+    are not) inside intersection_range(p).  Raises OutOfRange otherwise."""
+    if type(x) is not int:
+        raise OutOfRange(f"intersection size must be an integer, got {x!r}")
+    r = intersection_range(p)
+    if x not in r:
+        raise OutOfRange(f"intersection size {x} outside [{r.start}, {r.stop - 1}]")
+    return x
 
 
 def vertex(p: Parameters, s) -> tuple[int, ...]:

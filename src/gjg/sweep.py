@@ -176,11 +176,7 @@ def _check_max_route(res: TripleResult, p: Parameters) -> None:
     q = normalize(p)
     if q.k - q.i < 2:
         return
-    d = delta(q)
-    exhaustive = max(
-        min(2 * formulas.ceil_div(q.k - x, d), 2 * formulas.ceil_div(x - q.i, d) + 1)
-        for x in range(q.i + 1, q.k + 1)
-    )
+    exhaustive = max(formulas.distance_by_intersection(q, x) for x in range(q.i + 1, q.k + 1))
     closed = formulas.max_route_distance(q)
     _check(res, "max_route", exhaustive == closed, f"exhaustive {exhaustive} != closed form {closed}")
 
@@ -281,8 +277,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     # Distance-2 criterion: beyond adjacency, two vertices are at distance
     # exactly 2 iff they have a common neighbor.
     if not p.is_degenerate:
-        q = normalize(p)
-        shift = 2 * p.k - p.v if not p.is_normalized else 0
+        q, shift = normalize(p), intersection_range(p).start
         for x, dval in profile.items():
             if dval != 0 and dval != 1:
                 _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(q, x - shift),
@@ -310,30 +305,30 @@ def check_complements(results: list[TripleResult]) -> tuple[int, list[str]]:
 
     Every non-degenerate triple with v < 2k must agree with its normalized
     partner on girth, odd girth, and diameter, with distance profiles
-    matching under the index shift x -> x - (2k - v).  A pair missing
-    either oracle report is flagged.
+    matching under the index shift x -> x - intersection_range(p).start.
+    A pair missing either oracle report is flagged.
     """
     by_triple = {r.triple: r for r in results}
     checked, failures = 0, []
     for r in results:
-        v, k, i = r.triple
-        if v >= 2 * k or r.graph_class in ("edgeless", "empty_vertex_set"):
+        p = make_parameters(*r.triple)
+        if p.is_normalized or p.is_degenerate:
             continue
-        q = normalize(make_parameters(v, k, i))
+        q = normalize(p)
         partner = by_triple.get((q.v, q.k, q.i))
         if partner is None:
-            failures.append(f"J({v},{k},{i}): normalized partner missing from sweep")
+            failures.append(f"{p}: normalized partner missing from sweep")
             continue
         checked += 1
         a, b = r.measured, partner.measured
         if a is None or b is None:
-            failures.append(f"J({v},{k},{i}): no oracle report to compare with its complement form")
+            failures.append(f"{p}: no oracle report to compare with its complement form")
             continue
-        shift = 2 * k - v
+        shift = intersection_range(p).start
         same = (a.girth, a.odd_girth, a.diameter) == (b.girth, b.odd_girth, b.diameter)
         shifted = all(d == b.distance_profile.get(x - shift) for x, d in a.distance_profile.items())
         if not (same and shifted):
-            failures.append(f"J({v},{k},{i}) disagrees with its complement form")
+            failures.append(f"{p} disagrees with its complement form")
     return checked, failures
 
 

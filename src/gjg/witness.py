@@ -25,9 +25,9 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor, OutOfRange
+from .errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor
 from .formulas import ceil_div, distance_by_intersection, girth, has_common_neighbor, odd_girth
-from .params import GraphClass, Parameters, delta, intersection_range, normalize, vertex
+from .params import GraphClass, Parameters, delta, intersection_size, normalize, vertex
 
 VertexSet = tuple[int, ...]
 
@@ -120,12 +120,8 @@ def _canonical_adjacent_pair(p: Parameters) -> tuple[VertexSet, VertexSet]:
 def canonical_pair(p: Parameters, x: int) -> tuple[VertexSet, VertexSet]:
     """The standard pair with intersection x: {0..k-1} vs {0..x-1} ∪ {k..2k-x-1}.
 
-    Raises OutOfRange unless two k-subsets of the ground set can meet in x
-    elements."""
-    r = intersection_range(p)
-    if x not in r:
-        raise OutOfRange(f"intersection size {x} outside [{r.start}, {r.stop - 1}]")
-    k = p.k
+    Raises OutOfRange unless x passes :func:`gjg.params.intersection_size`."""
+    k, x = p.k, intersection_size(p, x)
     return tuple(range(k)), tuple(list(range(x)) + list(range(k, 2 * k - x)))
 
 

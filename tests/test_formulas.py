@@ -18,6 +18,7 @@ from gjg.formulas import (
     report_for,
 )
 from gjg.params import delta, intersection_range, make_parameters, normalize
+from gjg.witness import canonical_pair
 
 P = make_parameters
 
@@ -223,6 +224,24 @@ class TestInvariantReport:
         assert low.distance_profile == {
             x + 1: d for x, d in high.distance_profile.items()
         }
+        # Every lifted triple up to v = 12: complementing a pair meeting in x
+        # leaves one meeting in x - intersection_range(p).start, and the
+        # profile is the normal form's shifted by that amount.
+        lifted = [
+            p for v in range(2, 13) for k in range(v // 2 + 1, v + 1) for i in range(k + 1)
+            if not (p := P(v, k, i)).is_degenerate
+        ]
+        assert len(lifted) == 70
+        for p in lifted:
+            q, shift = normalize(p), intersection_range(p).start
+            assert shift == 2 * p.k - p.v
+            ground = set(range(p.v))
+            for x in intersection_range(p):
+                a, b = canonical_pair(p, x)
+                assert len((ground - set(a)) & (ground - set(b))) == x - shift
+            low, high = invariant_report(p), invariant_report(q)
+            assert (low.girth, low.odd_girth, low.diameter) == (high.girth, high.odd_girth, high.diameter)
+            assert low.distance_profile == {x + shift: d for x, d in high.distance_profile.items()}
 
     def test_profile_snapshot(self):
         assert report_for(8, 4, 1).distance_profile == {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}

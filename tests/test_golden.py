@@ -12,7 +12,9 @@ and say in CHANGES.md which goldens moved and why.
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -87,6 +89,20 @@ def test_cli_output_matches_golden(name, monkeypatch):
     assert code == _exit_codes()[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
     assert err == (GOLDEN / f"{name}.err").read_bytes()
+
+
+def test_verify_golden_holds_under_python_O():
+    # Output must not depend on __debug__: run the sweep with asserts
+    # stripped, in a fresh interpreter, against the same golden.
+    name = "verify-v-max-7"
+    env = {k: val for k, val in os.environ.items() if k != "GJG_MAX_VERTICES"}
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-m", "gjg.cli", *CASES[name]],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == _exit_codes()[name]
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
+    assert done.stderr == (GOLDEN / f"{name}.err").read_bytes()
 
 
 def test_every_golden_has_a_case():

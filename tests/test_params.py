@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gjg.errors import DegenerateClass, GJGError, InvalidOrder, InvalidSet
+from gjg.errors import DegenerateClass, GJGError, InvalidOrder, InvalidSet, OutOfRange
+from gjg.formulas import distance_by_intersection, has_common_neighbor
 from gjg.graphio import rank
+from gjg.oracle import build_graph, oracle_distance
 from gjg.params import GraphClass, delta, intersection_range, make_parameters, normalize, vertex
-from gjg.witness import Walk, WalkKind, common_neighbor, geodesic, verify_walk
+from gjg.witness import Walk, WalkKind, canonical_pair, common_neighbor, geodesic, verify_walk
 
 
 @pytest.mark.parametrize(
@@ -168,6 +172,31 @@ def test_vertex_returns_a_tuple_and_names_the_fault():
         vertex(p, (2, 0, 5))
     with pytest.raises(InvalidSet, match="expected a sequence of 3 elements"):
         vertex(p, 5)
+
+
+@pytest.mark.parametrize("triple", [(8, 4, 1), (6, 3, 0), (7, 4, 2)])  # (7,4,2) lifts
+def test_every_entry_point_rejects_the_same_intersection_sizes(triple):
+    # The closed forms take the normal form; each call is checked over the
+    # intersection sizes of the triple it is given.
+    p = make_parameters(*triple)
+    q, g = normalize(p), build_graph(p)
+    calls = {
+        "distance_by_intersection": (q, lambda x: distance_by_intersection(q, x)),
+        "has_common_neighbor": (q, lambda x: has_common_neighbor(q, x)),
+        "canonical_pair": (p, lambda x: canonical_pair(p, x)),
+        "oracle_distance": (p, lambda x: oracle_distance(g, x)),
+    }
+    for name, (t, call) in calls.items():
+        for x in intersection_range(t):
+            got = call(x)
+            if name in ("distance_by_intersection", "oracle_distance"):
+                assert type(got) is int or got == math.inf, (name, x, got)
+            elif name == "has_common_neighbor":
+                assert type(got) is bool, (name, x, got)
+        for bad in (2.0, True, np.int64(2), "2", None, -1, p.k + 1):
+            fault = "outside" if type(bad) is int else "must be an integer"
+            with pytest.raises(OutOfRange, match=f"^intersection size .*{fault}"):
+                call(bad)
 
 
 def test_params_imports_only_errors():
