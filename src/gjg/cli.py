@@ -15,7 +15,6 @@ from . import graphio, oracle, witness
 from .errors import GJGError
 from .formulas import invariant_report
 from .params import Parameters, delta, make_parameters, vertex
-from .sweep import SweepConfig, run_sweep, sweep_triples
 from .witness import Walk
 
 EXIT_OK = 0
@@ -150,6 +149,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Only verify needs the sweep; importing it here keeps it out of every
+    # other command's start-up.
+    from .sweep import SweepConfig, run_sweep, sweep_triples
+
     try:
         cfg = SweepConfig(
             v_max=args.v_max,

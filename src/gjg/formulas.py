@@ -33,7 +33,7 @@ def ceil_div(a: int, b: int) -> int:
 
 def _require_normalized(p: Parameters) -> None:
     if not p.is_normalized:
-        raise ValueError(f"{p} is not normalized (v < 2k); call normalize() first")
+        raise Unsupported(f"{p} is not normalized (v < 2k); call normalize() first")
 
 
 def has_common_neighbor(p: Parameters, x: int) -> bool:

@@ -28,22 +28,30 @@ _BLOCK = 1 << 16  # edges encoded per step
 
 def rank(p: Parameters, s: Sequence[int]) -> int:
     """Colex rank of a vertex (see :func:`gjg.params.vertex`); {0,...,k-1} ranks 0."""
-    return sum(comb(e, j + 1) for j, e in enumerate(vertex(p, s)))
+    return sum(map(comb, vertex(p, s), range(1, p.k + 1)))
 
 
 def unrank(p: Parameters, r: int) -> tuple[int, ...]:
-    """Inverse of rank: the k-subset with colex rank r."""
+    """Inverse of rank: the k-subset with colex rank r.
+
+    Walks c = C(e, j) down from C(v, k) by exact integer steps,
+    C(e-1, j) = C(e, j)(e-j)/e and C(e-1, j-1) = C(e, j) j/e, so no
+    binomial is recomputed.
+    """
     n = comb(p.v, p.k)
     if type(r) is not int or not 0 <= r < n:
         raise OutOfRange(f"rank {r!r} is not an integer in [0, {n})")
     out = [0] * p.k
-    e = p.v - 1
+    e, c = p.v, n
     for j in range(p.k, 0, -1):
-        while comb(e, j) > r:
+        while c > r:
+            c = c * (e - j) // e
             e -= 1
         out[j - 1] = e
-        r -= comb(e, j)
-        e -= 1
+        r -= c
+        if j > 1:  # e >= j - 1 >= 1 here
+            c = c * j // e
+            e -= 1
     return tuple(out)
 
 

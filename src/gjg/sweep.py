@@ -9,14 +9,14 @@ profile that ``oracle.report_from_graph`` has agreed over all sources.
 Witnesses are checked here only for v >= 2k; ``tests/test_witness.py``
 covers the lifted constructions for v < 2k.  Results carry the oracle's
 report so the complement isomorphism can be checked across triples
-afterwards.
+afterwards.  The process pool is imported only when a sweep runs with
+jobs > 1, so importing this module does not load multiprocessing.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -400,7 +400,10 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepOutcome:
     triples = sweep_triples(cfg)
     check = partial(check_triple, max_vertices=cfg.max_vertices)
     results: list[TripleResult] = []
-    with ProcessPoolExecutor(cfg.jobs) if cfg.jobs > 1 and len(triples) > 1 else nullcontext() as pool:
+    parallel = cfg.jobs > 1 and len(triples) > 1
+    if parallel:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(cfg.jobs) if parallel else nullcontext() as pool:
         for r in pool.map(check, *zip(*triples), chunksize=8) if pool else starmap(check, triples):
             results.append(r)
             if progress:

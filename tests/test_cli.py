@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from gjg.cli import main
@@ -252,3 +257,23 @@ class TestVerify:
         _, serial, _ = run(capsys, "verify", "--v-max", "5")
         _, parallel, _ = run(capsys, "verify", "--v-max", "5", "--jobs", "2")
         assert serial == parallel
+
+
+def _loaded_after(module: str, candidates: list[str]) -> list[str]:
+    """Which of candidates a fresh interpreter has loaded after importing module."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, {module}; print(*[m for m in {candidates!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    return done.stdout.split()
+
+
+class TestStartup:
+    # A single query pays for what it runs: only verify loads the sweep,
+    # and only a sweep with jobs > 1 loads the process pool.
+    def test_cli_import_leaves_out_sweep_and_pool(self):
+        assert _loaded_after("gjg.cli", ["gjg.sweep", "multiprocessing", "concurrent.futures.process"]) == []
+
+    def test_sweep_import_leaves_out_pool(self):
+        assert _loaded_after("gjg.sweep", ["concurrent.futures.process"]) == []

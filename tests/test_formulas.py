@@ -283,9 +283,10 @@ def test_report_totality_and_basic_shape(args):
 
 def test_normalized_precondition_enforced():
     p = P(7, 4, 2)  # valid but not normalized
-    with pytest.raises(ValueError):
-        girth(p)
-    with pytest.raises(ValueError):
-        distance_by_intersection(p, 2)
+    for call in (girth, odd_girth, diameter, max_route_distance,
+                 lambda q: distance_by_intersection(q, 2),
+                 lambda q: has_common_neighbor(q, 2)):
+        with pytest.raises(Unsupported, match="not normalized"):
+            call(p)
     # the report handles it through the complement isomorphism
     assert invariant_report(p).girth == girth(normalize(p))

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -69,6 +70,51 @@ class TestRankUnrank:
         p = P(v, k, max(0, k - 1))
         r = rnd.randrange(math.comb(v, k))
         assert rank(p, unrank(p, r)) == r
+
+
+def _reference_rank(s):
+    """The textbook colex rank, one comb per element."""
+    return sum(math.comb(e, j + 1) for j, e in enumerate(s))
+
+
+def _reference_unrank(v, k, r):
+    """The textbook colex unrank, recomputing C(e, j) at every step."""
+    out = [0] * k
+    e = v - 1
+    for j in range(k, 0, -1):
+        while math.comb(e, j) > r:
+            e -= 1
+        out[j - 1] = e
+        r -= math.comb(e, j)
+        e -= 1
+    return tuple(out)
+
+
+class TestRankAgainstReference:
+    def test_every_rank_small(self):
+        for v in range(1, 13):
+            for k in range(v + 1):
+                p = P(v, k, 0)
+                for r in range(math.comb(v, k)):
+                    s = unrank(p, r)
+                    assert s == _reference_unrank(v, k, r)
+                    assert rank(p, s) == _reference_rank(s) == r
+
+    def test_seeded_ranks_large(self):
+        rnd = random.Random(20231)
+        triples = [(256, 128, 0), (256, 256, 0), (256, 1, 0), (256, 255, 0),
+                   (256, 128, 128), (200, 200, 200), (97, 1, 1), (97, 96, 96)]
+        for _ in range(60):
+            v = rnd.randint(13, 256)
+            k = rnd.randint(0, v)
+            triples.append((v, k, rnd.randint(0, k)))
+        for v, k, i in triples:
+            p = P(v, k, i)
+            n = math.comb(v, k)
+            for r in {0, n - 1, *(rnd.randrange(n) for _ in range(20))}:
+                s = unrank(p, r)
+                assert s == _reference_unrank(v, k, r)
+                assert rank(p, s) == _reference_rank(s) == r
 
 
 class TestExportGraph:
