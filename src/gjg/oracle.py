@@ -6,9 +6,13 @@ are bitmasks over ground sets of at most 64 elements, in colex rank order
 by the colex recurrence; the family, with the packed set of vertices that
 contain each element, is derived once per (v, k) and shared by every i.
 Adjacency is one packed bit matrix: row u has bit w set when |S_u ∩ S_w|
-equals i.  Row u counts, for every w at once, how many of S_u's elements
-lie in S_w; no formula is consulted.  Every search works on the rows
-directly, a BFS level being the OR of the frontier's rows.
+equals i.  Row u counts, for every w at once, how many elements of S_u or
+of range(v) ∖ S_u, whichever is smaller, lie in S_w; no formula is
+consulted.  Counting over S_u keeps count i; counting over its complement
+keeps count k - i, because |S_w ∖ S_u| = k - |S_u ∩ S_w|, and a target
+beyond v - k (i < 2k - v, the edgeless triples) is not counted at all.
+Every search works on the rows directly, a BFS level being the OR of the
+frontier's rows.
 
 Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
@@ -98,17 +102,18 @@ class ExplicitGraph:
             yield us[keep], ws[keep]
 
 
-# One cached family per (v, k), shared by every i: (masks, member, elems).
+# One cached family per (v, k), shared by every i: (masks, member, elems, outside).
 _FAMILY: dict = {}
 
 
-def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The k-subsets of range(v) in colex order, derived once per (v, k):
     ``masks[u]`` is S_u as a uint64 bitmask, ``member[e]`` the packed set
     {w : e ∈ S_w} as uint64 words in ``np.packbits`` order (pad bits clear),
-    and ``elems[u]`` lists S_u's elements, ascending.  Colex recurrence: the
-    j-subsets of range(m+1) are those of range(m), then the (j-1)-subsets
-    of range(m), a prefix of the size before, with bit m set."""
+    ``elems[u]`` lists S_u's elements, ascending, and ``outside[u]`` those
+    of range(v) ∖ S_u, ascending.  Colex recurrence: the j-subsets of
+    range(m+1) are those of range(m), then the (j-1)-subsets of range(m),
+    a prefix of the size before, with bit m set."""
     if (record := _FAMILY.get((v, k))) is not None:
         return record
     masks = np.zeros(1, dtype=np.uint64)  # the one 0-subset
@@ -117,17 +122,24 @@ def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                 for m in range(j - 1, v - k + j)])
     n = masks.size
     member = np.zeros((v, (n + 63) // 64 * 8), dtype=np.uint8)
-    elems = np.empty((n, k), dtype=np.uint8)
     for e in range(v):
-        has = masks >> np.uint64(e) & np.uint64(1) != 0
-        member[e, : (n + 7) // 8] = np.packbits(has)
-        elems[has, np.bitwise_count(masks[has] & np.uint64((1 << e) - 1))] = e
+        member[e, : (n + 7) // 8] = np.packbits(masks >> np.uint64(e) & np.uint64(1) != 0)
+    # Row u lists S_u's elements, then the others, each ascending: column c
+    # peels the lowest element left in S_u (c < k) or in its complement.
+    both = np.empty((n, v), dtype=np.uint8)
+    left = [masks.copy(), masks ^ np.uint64((1 << v) - 1)]
+    for c in range(v):
+        rest = left[c >= k]
+        low = rest & (np.uint64(0) - rest)
+        both[:, c] = np.bitwise_count(low - np.uint64(1))
+        rest ^= low
+    elems, outside = both[:, :k], both[:, k:]
     # The recurrence must agree with graphio's combinadic rank on every row.
     table = np.array([[math.comb(e, j) for j in range(1, k + 1)] for e in range(v)], dtype=np.int64)
     ranks = sum((table[elems[:, j], j] for j in range(k)), np.zeros(n, dtype=np.int64))
     if not np.array_equal(ranks, np.arange(n)):
         raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
-    record = masks, member.view(np.uint64), elems
+    record = masks, member.view(np.uint64), elems, outside
     for table in record:  # shared by every graph of the family
         table.flags.writeable = False
     _FAMILY.clear()  # keep at most one family resident; they can be large
@@ -136,17 +148,21 @@ def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
-    """Packed rows, one per row of elems: bit w is set when exactly i of
-    those elements lie in S_w.
+    """Packed rows as uint64 words, one per row of elems: bit w is set when
+    exactly i of those elements lie in S_w.
 
     The member rows of the elements are summed bit-sliced: plane b holds
     bit b of every column's count, and each member row is added by
     ripple-carry.  A plane is added once the count can reach its bit, so
     k elements need ceil(log2(k+1)) planes.  A column's count is i when
-    every plane agrees with the matching bit of i.
+    every plane agrees with the matching bit of i.  No count exceeds the
+    number of elements, so a larger i gives zero rows without counting.
     """
+    shape = (elems.shape[0], member.shape[1])
+    if i > elems.shape[1]:
+        return np.zeros(shape, dtype=np.uint64)
     planes: list[np.ndarray] = []
-    spare = np.empty((elems.shape[0], member.shape[1]), dtype=np.uint64)
+    spare = np.empty(shape, dtype=np.uint64)
     for j in range(elems.shape[1]):
         carry = member[elems[:, j]]
         for plane in planes:
@@ -155,7 +171,7 @@ def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
             carry, spare = spare, carry
         if len(planes) < (j + 1).bit_length():
             planes.append(carry)
-    hit = np.full(spare.shape, ~np.uint64(0))
+    hit = np.full(shape, ~np.uint64(0))
     for b, plane in enumerate(planes):
         hit &= plane if (i >> b) & 1 else ~plane
     return hit
@@ -164,9 +180,14 @@ def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
 def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ExplicitGraph:
     """Materialize J(v,k,i): all C(v,k) vertices plus packed adjacency rows.
 
-    Row u comes from counting, for every vertex w at once, how many of
-    S_u's elements lie in S_w (``_overlap_is``): set membership alone,
-    with no formula consulted.  Every row's degree is checked against
+    Row u comes from counting, for every vertex w at once, how many
+    elements of S_u or of range(v) ∖ S_u, whichever is smaller, lie in S_w
+    (``_overlap_is``): set membership alone, with no formula consulted.
+    When k <= v - k the side is S_u and the row keeps the columns whose
+    count is i.  Otherwise the side is the complement, and since
+    |S_w ∖ S_u| = k - |S_u ∩ S_w|, the row keeps count k - i; that count
+    exceeds v - k exactly for the edgeless triples (i < 2k - v), whose
+    rows are zero without counting.  Every row's degree is checked against
     C(k,i)*C(v-k,k-i) as it is built.
 
     Raises BudgetExceeded when C(v,k) > vertex_budget or the estimated
@@ -178,26 +199,29 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     n = math.comb(p.v, p.k)
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
-    # Refuse before allocating: adj, the family tables and one slab of counters.
+    # Refuse before allocating: adj, the family tables (masks, member rows,
+    # the elements inside and outside each vertex) and one slab of counters.
     row = (n + 7) // 8
-    need = n * row + n * (8 + p.k + p.v) + _SLAB * (p.k.bit_length() + 3)
+    need = n * row + n * (8 + p.v + p.v) + _SLAB * (p.k.bit_length() + 3)
     if need > (memory := _physical_memory()):
         raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")
-    masks, member, elems = _family(p.v, p.k)
+    masks, member, elems, outside = _family(p.v, p.k)
+    side, target = (elems, p.i) if p.k <= p.v - p.k else (outside, p.k - p.i)
     g = ExplicitGraph(p, n, np.empty((n, row), dtype=np.uint8), masks)
     pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
     step = max(1, _SLAB // g.adj.shape[1])
     for r0 in range(0, n, step):
-        rows = g.adj[r0 : r0 + step]
-        hit = _overlap_is(member, elems[r0 : r0 + step], p.i).view(np.uint8)
-        rows[:] = hit[:, : rows.shape[1]]
-        rows[:, -1] &= pad
+        hit = _overlap_is(member, side[r0 : r0 + step], target)
+        packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order
+        packed[:, row - 1] &= pad
+        packed[:, row:] = 0
         if p.i == p.k:  # self-intersection is k; the graph stays loop-free
-            u = np.arange(r0, r0 + rows.shape[0])
-            rows[u - r0, u >> 3] &= ~(np.uint8(0x80) >> (u & 7).astype(np.uint8))
-        deg = np.bitwise_count(rows).sum(axis=1)
+            u = np.arange(r0, r0 + hit.shape[0])
+            packed[u - r0, u >> 3] &= ~(np.uint8(0x80) >> (u & 7).astype(np.uint8))
+        deg = np.bitwise_count(hit).sum(axis=1)
         if not np.all(deg == g.degree):
             raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
+        g.adj[r0 : r0 + step] = packed[:, :row]
     g.adj.flags.writeable = False
     return g
 

@@ -147,16 +147,16 @@ def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
         _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == want,
                f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or formula {want}")
 
-        # Common-neighbor construction against raw adjacency lists.
-        ra, rb = graphio.rank(p, a), graphio.rank(p, b)
-        shared = np.intersect1d(g.neighbors(ra), g.neighbors(rb))
+        # Common-neighbor construction against the packed adjacency rows.
+        shared = g.adj[graphio.rank(p, a)] & g.adj[graphio.rank(p, b)]
+        found = bool(shared.any())
         claims = formulas.has_common_neighbor(p, x)
-        _check(res, "common_neighbor", claims == bool(shared.size),
-               f"x={x}: formula {claims}, oracle {bool(shared.size)}")
+        _check(res, "common_neighbor", claims == found, f"x={x}: formula {claims}, oracle {found}")
         if claims:
             c = witness.common_neighbor(p, a, b)
             adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
-            _check(res, "common_neighbor", adjacent and graphio.rank(p, c) in shared,
+            rc = graphio.rank(p, c)
+            _check(res, "common_neighbor", adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
                    f"x={x}: constructed witness {c} is not a shared neighbor", count=0)
         else:
             _check(res, "common_neighbor", _raises(NoCommonNeighbor, witness.common_neighbor, p, a, b),

@@ -83,8 +83,14 @@ class TestBuildGraph:
         small = [(v, k, i) for v in range(11) for k in range(v + 1) for i in range(k + 1)]
         for t in small + [
             (14, 7, 2),  # several slabs of rows
+            (14, 9, 6),  # counted over the complement, several slabs
+            (15, 10, 7),
+            (15, 10, 3),  # edgeless: i < 2k - v, no count is taken
+            (13, 9, 2),
             (64, 1, 0),  # masks reach bit 63
             (64, 2, 1),
+            (64, 63, 62),  # a one-element complement side
+            (64, 63, 63),  # target 0 on that side, diagonal cleared
         ]:
             p = P(*t)
             g = build_graph(p)
@@ -164,10 +170,13 @@ class TestFamily:
     def test_matches_the_sorted_combinations(self, v, k):
         subsets = self._reference(v, k)
         n = len(subsets)
-        masks, member, elems = record = gjg.oracle._family(v, k)
+        masks, member, elems, outside = record = gjg.oracle._family(v, k)
         assert masks.dtype == np.uint64
         assert masks.tolist() == [sum(1 << e for e in s) for s in subsets]
         assert elems.shape == (n, k) and elems.tolist() == [list(s) for s in subsets]
+        rest = [[e for e in range(v) if e not in s] for s in subsets]
+        assert outside.shape == (n, v - k) and outside.tolist() == rest
+        assert not outside.flags.writeable
         bits = np.unpackbits(member.view(np.uint8), axis=1)
         inside = [[e in s for s in subsets] for e in range(v)]
         assert bits.shape[0] == v and bits[:, :n].astype(bool).tolist() == inside

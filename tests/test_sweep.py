@@ -1,11 +1,13 @@
 import dataclasses
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import gjg.oracle
 import gjg.sweep
+import gjg.witness
 from gjg.oracle import OracleReport, _sources, build_graph
 from gjg.params import make_parameters
 from gjg.sweep import (
@@ -107,6 +109,30 @@ class TestCheckTriple:
         assert r.passed, r.failures
         want = dict.fromkeys(_sources(*triple, math.comb(*triple[:2]), sources), 1)
         assert profiles == searches == want
+
+    def test_detects_a_common_neighbor_of_one_end_only(self, monkeypatch):
+        # The constructed witness is adjacent to a but not to b, wherever
+        # such a vertex exists (not for a = b).
+        real = gjg.witness.common_neighbor
+
+        def one_sided(p, a, b):
+            c = real(p, a, b)  # raises where no common neighbor exists
+            return next((d for d in combinations(range(p.v), p.k)
+                         if len(set(d) & set(a)) == p.i != len(set(d) & set(b))), c)
+
+        monkeypatch.setattr(gjg.witness, "common_neighbor", one_sided)
+        r = check_triple(9, 4, 1)
+        assert [m.split(" constructed")[0] for m in r.failures] == [
+            "common_neighbor: x=1:", "common_neighbor: x=2:", "common_neighbor: x=3:"], r.failures
+        assert all(m.endswith("is not a shared neighbor") for m in r.failures)
+
+    def test_detects_a_negated_common_neighbor_predicate(self, monkeypatch):
+        import gjg.formulas
+
+        real = gjg.formulas.has_common_neighbor
+        monkeypatch.setattr(gjg.formulas, "has_common_neighbor", lambda p, x: not real(p, x))
+        r = check_triple(9, 4, 1)
+        assert any(m.startswith("common_neighbor: x=") and "formula" in m for m in r.failures), r.failures
 
     def test_detects_lower_bound_violation(self, monkeypatch):
         # delta(J(9,4,1)) is 3; at 1 the even bound at x = 2 needs a path of
