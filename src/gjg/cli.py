@@ -8,6 +8,7 @@ runs for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -89,12 +90,12 @@ def _print_report_text(rep) -> None:
         print(f"  x={x}: {graphio.format_value(rep.distance_profile[x])}")
 
 
-def _print_walk(p: Parameters, w: Walk, label: str) -> None:
+def _print_walk(p: Parameters, w: Walk, label: str, verified: bool) -> None:
     print(f"{label} of length {w.claimed_length} in {p}:")
     for s in w.vertices:
         body = ",".join(str(e) for e in s)
         print(f"  rank {graphio.rank(p, s):>6} {{{body}}}")
-    print(f"verified: {graphio.format_value(witness.verify_walk(p, w))}")
+    print(f"verified: {graphio.format_value(verified)}")
 
 
 def cmd_invariants(args) -> int:
@@ -111,7 +112,8 @@ def cmd_distance(args) -> int:
     a, b = _vertex_pair(p, args, "provide --x or both --a and --b")
     print(graphio.format_value(invariant_report(p).distance_profile[len(set(a) & set(b))]))
     if args.witness:
-        _print_walk(p, witness.geodesic(p, a, b), "geodesic")
+        walk = witness.geodesic(p, a, b)
+        _print_walk(p, walk, "geodesic", witness.verify_walk(p, walk))
     return EXIT_OK
 
 
@@ -126,10 +128,11 @@ def cmd_witness(args) -> int:
     else:
         walk = witness.odd_closed_walk(p)
         label = "odd closed walk"
-    if not witness.verify_walk(p, walk):
+    verified = witness.verify_walk(p, walk)
+    if not verified:
         print("internal error: constructed walk failed verification", file=sys.stderr)
         return EXIT_DOMAIN
-    _print_walk(p, walk, label)
+    _print_walk(p, walk, label, verified)
     return EXIT_OK
 
 
@@ -185,7 +188,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_DOMAIN
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built by the first call and reused by every later one.
+
+    Reuse is safe: parse_args makes a fresh Namespace each call and leaves
+    the parser unchanged, and argparse looks up sys.stdout and sys.stderr
+    only when it prints.  Each command's function is bound here, at the
+    first build, so patching a ``cmd_*`` after the first ``main`` call has
+    no effect.
+    """
     parser = argparse.ArgumentParser(
         prog="gjg",
         description="Invariants, witnesses, and brute-force verification "
@@ -231,8 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called repeatedly in one process, and every
+    call after the first reuses the parser the first one built."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GJGError as exc:

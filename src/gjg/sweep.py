@@ -153,11 +153,17 @@ def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
         claims = formulas.has_common_neighbor(p, x)
         _check(res, "common_neighbor", claims == found, f"x={x}: formula {claims}, oracle {found}")
         if claims:
-            c = witness.common_neighbor(p, a, b)
-            adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
-            rc = graphio.rank(p, c)
-            _check(res, "common_neighbor", adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
-                   f"x={x}: constructed witness {c} is not a shared neighbor", count=0)
+            # A predicate that wrongly claims a neighbour makes the
+            # construction raise; record that and go on to the other checks.
+            try:
+                c = witness.common_neighbor(p, a, b)
+            except NoCommonNeighbor as exc:
+                _check(res, "common_neighbor", False, f"x={x}: no witness constructed: {exc}", count=0)
+            else:
+                adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
+                rc = graphio.rank(p, c)
+                _check(res, "common_neighbor", adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
+                       f"x={x}: constructed witness {c} is not a shared neighbor", count=0)
         else:
             _check(res, "common_neighbor", _raises(NoCommonNeighbor, witness.common_neighbor, p, a, b),
                    f"x={x}: expected NoCommonNeighbor", count=0)

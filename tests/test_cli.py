@@ -2,10 +2,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from gjg.cli import main
+import gjg.witness
+from gjg.cli import _build_parser, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -147,6 +151,27 @@ class TestWitness:
         _, out2, _ = run(capsys, "witness", "--v", "9", "--k", "4", "--i", "1", "oddwalk")
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--v", "7", "--k", "3", "--i", "0", "oddwalk"],
+        ["distance", "--v", "8", "--k", "4", "--i", "1", "--x", "0", "--witness"],
+    ])
+    def test_printed_walk_is_verified_once(self, capsys, monkeypatch, argv):
+        # Counts the CLI's own calls; odd_closed_walk's self-check inside
+        # gjg.witness is the library's guard and is not the CLI's to skip.
+        calls = []
+        real = gjg.witness.verify_walk
+
+        def counted(p, w):
+            if sys._getframe(1).f_globals["__name__"] == "gjg.cli":
+                calls.append(w)
+            return real(p, w)
+
+        monkeypatch.setattr(gjg.witness, "verify_walk", counted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "verified: true" in out
+        assert len(calls) == 1
+
 
 class TestExport:
     def test_dimacs_header(self, capsys):
@@ -259,14 +284,18 @@ class TestVerify:
         assert serial == parallel
 
 
-def _loaded_after(module: str, candidates: list[str]) -> list[str]:
-    """Which of candidates a fresh interpreter has loaded after importing module."""
+def _fresh(code: str) -> list[str]:
+    """The words a fresh interpreter prints when it runs code."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, {module}; print(*[m for m in {candidates!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     return done.stdout.split()
+
+
+def _loaded_after(module: str, candidates: list[str]) -> list[str]:
+    """Which of candidates a fresh interpreter has loaded after importing module."""
+    return _fresh(f"import sys, {module}; print(*[m for m in {candidates!r} if m in sys.modules])")
 
 
 class TestStartup:
@@ -277,3 +306,52 @@ class TestStartup:
 
     def test_sweep_import_leaves_out_pool(self):
         assert _loaded_after("gjg.sweep", ["concurrent.futures.process"]) == []
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        # Importing gjg.cli builds nothing; the first main() builds the
+        # parser and the second reuses it.
+        code = ("import contextlib, io, gjg.cli as c; n = c._build_parser.cache_info; before = n().misses\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    for _ in range(2): c.main(['distance', '--v', '10', '--k', '4', '--i', '2', '--x', '1'])\n"
+                "print(before, n().misses, n().hits)")
+        assert _fresh(code) == ["0", "1", "1"]
+
+
+class TestParserReuse:
+    # One parser serves every main() call in a process.
+    def test_usage_error_leaves_the_next_call_intact(self, capsys):
+        for bad in (["invariants", "--v", "9"], ["witness", "--v", "9", "--k", "4", "--i", "1", "loop"],
+                    ["distance", "--v", "9", "--k", "4", "--i", "1", "--a", "0,x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            code, out, err = run(capsys, "invariants", "--v", "9", "--k", "4", "--i", "1")
+            assert (code, err) == (0, "")
+            assert out.encode() == (GOLDEN / "invariants-text-9-4-1.out").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"]])
+    def test_help_prints_the_same_bytes_twice(self, capsys, argv):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("usage: gjg")
+
+    def test_parse_args_from_several_threads(self):
+        argvs = [
+            ["invariants", "--v", "9", "--k", "4", "--i", "1", "--emit", "structured"],
+            ["distance", "--v", "8", "--k", "4", "--i", "1", "--a", "3,2,1,0", "--b", "4,5,6,7", "--witness"],
+            ["witness", "--v", "10", "--k", "4", "--i", "2", "geodesic", "--x", "1"],
+            ["export", "--v", "5", "--k", "2", "--i", "0", "--format", "dimacs"],
+            ["verify", "--v-max", "7", "--jobs", "auto"],
+        ] * 40
+        parser = _build_parser()
+        want = [parser.parse_args(argv) for argv in argvs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(parser.parse_args, argvs))
+        assert got == want
+        assert len({id(ns) for ns in got}) == len(got)

@@ -133,6 +133,12 @@ class TestCheckTriple:
         monkeypatch.setattr(gjg.formulas, "has_common_neighbor", lambda p, x: not real(p, x))
         r = check_triple(9, 4, 1)
         assert any(m.startswith("common_neighbor: x=") and "formula" in m for m in r.failures), r.failures
+        # At x=0 the predicate claims a neighbour the construction cannot
+        # build; that is recorded and every later check still runs.
+        assert "common_neighbor: x=0: no witness constructed: " in "\n".join(r.failures)
+        assert not any(m.startswith("internal:") for m in r.failures), r.failures
+        assert any(m.startswith("common_neighbor: x=4:") for m in r.failures), r.failures
+        assert r.checks["rank_roundtrip"] == 126
 
     def test_detects_lower_bound_violation(self, monkeypatch):
         # delta(J(9,4,1)) is 3; at 1 the even bound at x = 2 needs a path of
