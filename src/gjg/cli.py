@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
         cfg = SweepConfig(
             v_max=args.v_max,
             max_vertices=_budget(args),
-            jobs=args.jobs if args.jobs is not None else 1,
+            jobs=args.jobs,
         )
     except ValueError as exc:
         raise _ConfigError(str(exc))
@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="sweep all triples, compare formulas to the oracle")
     s.add_argument("--v-max", type=int, default=16)
     s.add_argument("--max-vertices", type=int, default=None)
-    s.add_argument("--jobs", type=_parse_jobs, default=None)
+    s.add_argument("--jobs", type=_parse_jobs, default=1)
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("export", help="write the explicit graph as edgelist or DIMACS")

@@ -105,6 +105,15 @@ def _raises(kind: type[Exception], fn, *args) -> bool:
     return False
 
 
+def _compared(rep, shift: int = 0) -> dict:
+    """The fields of a report that the sweep compares across two reports:
+    girth, odd girth, diameter and the distance profile, its keys moved up
+    by shift.  With shift = intersection_range(p).start, a normal form's
+    profile is read in p's intersection sizes."""
+    return {"girth": rep.girth, "odd_girth": rep.odd_girth, "diameter": rep.diameter,
+            "distance_profile": {x + shift: d for x, d in rep.distance_profile.items()}}
+
+
 def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, pairs: dict[int, int]) -> None:
     """Path-length lower bounds on the agreed profile: a shortest path of
     length 2p needs p >= ceil((k-x)/delta), of length 2p+1 needs
@@ -257,16 +266,14 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     _check(res, "transitivity", True, "", count=3 * min(4, n))
     profile = measured.distance_profile
 
-    for name in ("girth", "odd_girth", "diameter"):
-        want, got = getattr(rep, name), getattr(measured, name)
-        _check(res, name, want == got, f"formula {want}, oracle {got}")
+    got = _compared(measured)
+    for name, want in _compared(rep).items():
+        _check(res, name, want == got[name], f"formula {want}, oracle {got[name]}",
+               count=len(profile) if name == "distance_profile" else 1)
     if not p.is_degenerate and p.graph_class is not GraphClass.MATCHING:
         peak = max(rep.distance_profile.values())
         _check(res, "diameter", rep.diameter == peak,
                f"diameter {rep.diameter} != profile max {peak}", count=0)
-
-    _check(res, "distance_profile", rep.distance_profile == profile,
-           f"formula {rep.distance_profile}, oracle {profile}", count=len(profile))
 
     # Sampled pairs: each (source, vertex) pair is one sample for its class;
     # report_from_graph has agreed every source's profile.
@@ -309,10 +316,10 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
 def check_complements(results: list[TripleResult]) -> tuple[int, list[str]]:
     """Cross-triple check of the complement isomorphism.
 
-    Every non-degenerate triple with v < 2k must agree with its normalized
-    partner on girth, odd girth, and diameter, with distance profiles
-    matching under the index shift x -> x - intersection_range(p).start.
-    A pair missing either oracle report is flagged.
+    Every non-degenerate triple p with v < 2k must give the same
+    :func:`_compared` fields as its normalized partner read at the shift
+    intersection_range(p).start.  A pair missing either oracle report is
+    flagged.
     """
     by_triple = {r.triple: r for r in results}
     checked, failures = 0, []
@@ -330,10 +337,7 @@ def check_complements(results: list[TripleResult]) -> tuple[int, list[str]]:
         if a is None or b is None:
             failures.append(f"{p}: no oracle report to compare with its complement form")
             continue
-        shift = intersection_range(p).start
-        same = (a.girth, a.odd_girth, a.diameter) == (b.girth, b.odd_girth, b.diameter)
-        shifted = all(d == b.distance_profile.get(x - shift) for x, d in a.distance_profile.items())
-        if not (same and shifted):
+        if _compared(a) != _compared(b, intersection_range(p).start):
             failures.append(f"{p} disagrees with its complement form")
     return checked, failures
 

@@ -216,6 +216,14 @@ def shortest_cycle(p: Parameters) -> Walk:
     q = normalize(p)
     if q is not p:
         return complement_walk(p, shortest_cycle(q))
+    w = _shortest_cycle(p)
+    if not verify_walk(p, w):
+        raise AssertionError(f"shortest_cycle built an invalid cycle for {p}")
+    return w
+
+
+def _shortest_cycle(p: Parameters) -> Walk:
+    # shortest_cycle on a normalized triple, unverified.
     g = girth(p)
     if g is None:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) is acyclic or empty")
@@ -234,16 +242,13 @@ def shortest_cycle(p: Parameters) -> Walk:
             blocks = [list(range(4, 2 + k)), list(range(2 + k, 2 * k))]
             cyc = [tuple(sorted([j, (j + 1) % 4] + blocks[j % 2])) for j in range(4)]
     elif g == 5:
-        walk = odd_closed_walk(p)  # at (5,2,0) the minimum odd walk is a 5-cycle
+        walk = _odd_closed_walk(p)  # at (5,2,0) the minimum odd walk is a 5-cycle
         cyc = list(walk.vertices[:-1])
     else:
         cyc = _six_cycle(p)
 
     cyc.append(cyc[0])
-    w = Walk(tuple(cyc), WalkKind.CYCLE, len(cyc) - 1)
-    if not verify_walk(p, w):
-        raise AssertionError(f"shortest_cycle built an invalid cycle for {p}")
-    return w
+    return Walk(tuple(cyc), WalkKind.CYCLE, len(cyc) - 1)
 
 
 def odd_closed_walk(p: Parameters) -> Walk:
@@ -259,13 +264,21 @@ def odd_closed_walk(p: Parameters) -> Walk:
     q = normalize(p)
     if q is not p:
         return complement_walk(p, odd_closed_walk(q))
+    walk = _odd_closed_walk(p)
+    if not verify_walk(p, walk):
+        raise AssertionError(f"odd_closed_walk built an invalid walk for {p}")
+    return walk
+
+
+def _odd_closed_walk(p: Parameters) -> Walk:
+    # odd_closed_walk on a normalized triple, unverified.
     og = odd_girth(p)
     if og is None:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) has no odd closed walk")
     k, i, d = p.k, p.i, delta(p)
 
     if girth(p) == 3:
-        vertices = shortest_cycle(p).vertices
+        vertices = _shortest_cycle(p).vertices
     elif p.graph_class is GraphClass.ODD_GRAPH:
         A, B, C = (tuple(range(s, s + k)) for s in (0, ceil_div(k, 2), k + k % 2))
         leg_ab = geodesic(p, A, B)
@@ -293,8 +306,6 @@ def odd_closed_walk(p: Parameters) -> Walk:
     walk = Walk(vertices, WalkKind.CLOSED_WALK, len(vertices) - 1)
     if walk.claimed_length != og:
         raise AssertionError(f"walk length {walk.claimed_length}, odd girth {og}")
-    if not verify_walk(p, walk):
-        raise AssertionError(f"odd_closed_walk built an invalid walk for {p}")
     return walk
 
 

@@ -66,14 +66,19 @@ class TestCheckTriple:
         assert not r.passed
         assert any("BudgetExceeded" in msg for msg in r.failures)
 
-    def test_detects_wrong_formula(self, monkeypatch):
-        # Sabotage the closed form; the oracle comparison must flag it.
-        import gjg.formulas
-
-        monkeypatch.setattr(gjg.formulas, "girth", lambda p: 17)
+    @pytest.mark.parametrize("name, wrong", [
+        ("girth", 17), ("odd_girth", 9), ("diameter", 7), ("distance_profile", {0: 2, 1: 2, 2: 0}),
+    ], ids=["girth", "odd_girth", "diameter", "distance_profile"])
+    def test_detects_wrong_formula(self, monkeypatch, name, wrong):
+        # Sabotage one field of the closed-form report; the oracle comparison
+        # must flag that field.  J(5,2,0) measures girth 5, odd girth 5,
+        # diameter 2 and profile {0: 1, 1: 2, 2: 0}.
+        real = gjg.sweep.invariant_report
+        monkeypatch.setattr(gjg.sweep, "invariant_report",
+                            lambda p: dataclasses.replace(real(p), **{name: wrong}))
         r = check_triple(5, 2, 0)
-        assert not r.passed
-        assert any(msg.startswith("girth:") for msg in r.failures)
+        got = getattr(real(make_parameters(5, 2, 0)), name)
+        assert f"{name}: formula {wrong}, oracle {got}" in r.failures, r.failures
 
     def test_detects_wrong_distance(self, monkeypatch):
         import gjg.formulas
@@ -216,6 +221,17 @@ class TestCheckComplements:
         high = self._result(7, 3, 1, 3, {0: 2, 1: 1, 2: 2, 3: 0})
         checked, failures = check_complements([low, high])
         assert checked == 1 and len(failures) == 1
+
+    @pytest.mark.parametrize("high_profile", [
+        {0: 2, 1: 1, 2: 1, 3: 0},  # differs at the normal form's x = 2, J(7,4,2)'s x = 3
+        {1: 2, 2: 1, 3: 2, 4: 0},  # keyed by J(7,4,2)'s sizes 1..4, not shifted to 0..3
+    ], ids=["one_x", "unshifted"])
+    def test_profile_mismatch_is_flagged(self, high_profile):
+        # Girth, odd girth and diameter agree; only the profiles differ.
+        low = self._result(7, 4, 2, 3, {1: 2, 2: 1, 3: 2, 4: 0})
+        high = self._result(7, 3, 1, 3, high_profile)
+        checked, failures = check_complements([low, high])
+        assert checked == 1 and failures == ["J(7,4,2) disagrees with its complement form"]
 
     def test_missing_partner_is_flagged(self):
         low = self._result(7, 4, 2, 3, {1: 2, 2: 1, 3: 2, 4: 0})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gjg.witness
 from gjg.errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor, OutOfRange
 from gjg.formulas import distance_by_intersection, girth, invariant_report, odd_girth
 from gjg.graphio import rank
@@ -228,6 +229,24 @@ class TestOddClosedWalk:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateClass):
             odd_closed_walk(P(8, 4, 0))
+
+
+@pytest.mark.parametrize("triple", [(9, 4, 1), (5, 2, 0), (7, 4, 2), (7, 3, 0)])
+@pytest.mark.parametrize("construct", [shortest_cycle, odd_closed_walk])
+def test_each_construction_verifies_its_walk_once(monkeypatch, construct, triple):
+    # Girth 3 builds its odd walk from the triangle, (5,2,0) its 5-cycle from
+    # the odd walk, and (7,4,2) lifts its normal form's walk: the one built
+    # inside the other is not verified again.
+    calls = []
+    real = gjg.witness.verify_walk
+
+    def counted(p, w):
+        calls.append(p)
+        return real(p, w)
+
+    monkeypatch.setattr(gjg.witness, "verify_walk", counted)
+    construct(P(*triple))
+    assert len(calls) == 1
 
 
 # Every non-degenerate triple of the desk sweep with v < 2k.
