@@ -83,16 +83,20 @@ def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list
     """One ASCII line per (u, w) row (prefix, u, space, w, newline), labels
     shifted by offset, as one uint8 chunk per block of _BLOCK edges.
 
-    Each block gathers its u and w table rows into a fixed-width line
-    matrix; dropping the pad bytes with one mask leaves the lines back to
-    back.
+    One table holds 2n fixed-width rows: the first half of every line
+    (prefix, label, space), then the second (label, newline), padded in
+    front to the same width.  A block of edges plus (0, n), read flat,
+    lists the rows to take, so one gather spells its lines; dropping the
+    pad bytes with one mask leaves them back to back.
     """
     first = _label_table(n, offset, prefix, b" ")
     second = _label_table(n, offset, b"", b"\n")
+    table = np.full((2 * n, first.shape[1]), _PAD, dtype=np.uint8)
+    table[:n] = first
+    table[n:, len(prefix) :] = second
     chunks = []
     for b0 in range(0, len(edges), _BLOCK):
-        blk = edges[b0 : b0 + _BLOCK]
-        line = np.hstack((first.take(blk[:, 0], axis=0), second.take(blk[:, 1], axis=0)))
+        line = table.take((edges[b0 : b0 + _BLOCK] + (0, n)).ravel(), axis=0)
         chunks.append(line[line != _PAD])
     return chunks
 

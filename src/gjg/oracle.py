@@ -65,8 +65,8 @@ class ExplicitGraph:
     masks: np.ndarray     # uint64 bitmask per vertex
 
     def neighbors(self, u: int) -> np.ndarray:
-        """Ascending ranks of u's neighbors."""
-        return _unpacked(self.adj[u], self.n)
+        """Ascending ranks of u's neighbors; OutOfRange unless u is a rank."""
+        return _unpacked(self.adj[_rank(self, u, "vertex")], self.n)
 
     @property
     def degree(self) -> int:
@@ -84,22 +84,29 @@ class ExplicitGraph:
 
     def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Edges as (us, ws) array pairs with u < w, in (u, w) order, one
-        slab of rows at a time; each slab is scanned from its first
-        diagonal byte, and only the nonzero bytes that hold a bit right of
-        the diagonal are unpacked.  A slab holds at most _SLAB bytes of
-        rows and, so that its index arrays stay small, _SLAB edges."""
+        slab of rows at a time.  Each slab is copied from its first
+        diagonal byte and its lower triangle cleared: the bytes before row
+        u's diagonal byte are zeroed and that byte keeps only the bits
+        right of u, so every bit left is an edge u < w.  Only the nonzero
+        bytes, found by one flat scan, are unpacked; dividing a byte's flat
+        index by the slab width gives its row and column.  A slab holds at
+        most _SLAB bytes of rows and, so that its index arrays stay small,
+        _SLAB edges."""
         step = max(1, _SLAB // max(self.adj.shape[1], self.degree))
         for r0 in range(0, self.n, step):
             c0 = r0 >> 3  # the slab's first diagonal byte; nothing left of it is upper
-            slab = self.adj[r0 : r0 + step, c0:]
-            rows, cols = np.nonzero(slab)
-            upper = (cols + c0) * 8 + 7 > rows + r0
-            rows, cols = rows[upper], cols[upper]
-            nz, bit = np.nonzero(np.unpackbits(slab[rows, cols][:, None], axis=1))
-            us = rows[nz] + r0
-            ws = (cols[nz] + c0) * 8 + bit
-            keep = ws > us
-            yield us[keep], ws[keep]
+            slab = self.adj[r0 : r0 + step, c0:].copy()
+            u = np.arange(r0, r0 + slab.shape[0])
+            d = (u >> 3) - c0  # row u's diagonal byte in the slab
+            head = slab[:, : d[-1] + 1]  # the only columns holding a diagonal byte
+            head[np.arange(head.shape[1]) < d[:, None]] = 0
+            head[np.arange(u.size), d] &= (0x7F >> (u & 7)).astype(np.uint8)
+            nz = np.flatnonzero(slab)
+            # unpackbits gives 0 or 1 per bit, a valid bool, whose scan is fastest.
+            bits = np.flatnonzero(np.unpackbits(slab.ravel()[nz]).view(bool))
+            rows, cols = np.divmod(nz, slab.shape[1])
+            at = bits >> 3  # each set bit's nonzero byte
+            yield (rows + r0)[at], ((cols + c0) * 8)[at] + (bits & 7)
 
 
 # One cached family per (v, k), shared by every i: (masks, member, elems, outside).
@@ -244,6 +251,14 @@ def _physical_memory() -> int | float:
     return memory
 
 
+def _rank(g: ExplicitGraph, r: int, what: str) -> int:
+    """r if it is an int (not a bool or numpy integer) in [0, n), the rule
+    of ``graphio.unrank``; OutOfRange otherwise, never a wrapped index."""
+    if type(r) is not int or not 0 <= r < g.n:
+        raise OutOfRange(f"{what} {r!r} outside [0, {g.n})")
+    return r
+
+
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Vertex ranks whose bits are set, ascending."""
     return np.flatnonzero(np.unpackbits(bits, count=n))
@@ -272,8 +287,7 @@ def search(g: ExplicitGraph, source: int) -> Search:
     is at least 2t+1 long; the tree paths to the first such edge give 2t+1.
     """
     adj, n = g.adj, g.n
-    if not 0 <= source < n:
-        raise OutOfRange(f"source {source} outside [0, {n})")
+    _rank(g, source, "source")
     dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
     prev = np.zeros(adj.shape[1], dtype=np.uint8)  # packed level t-1
@@ -347,8 +361,9 @@ def oracle_diameter(g: ExplicitGraph) -> int | float:
 
 
 def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
-    """|S_u ∩ S_source| for every vertex u, via mask popcounts."""
-    return np.bitwise_count(g.masks & g.masks[source]).astype(np.int32)
+    """|S_u ∩ S_source| for every vertex u, via mask popcounts; OutOfRange
+    unless source is a rank."""
+    return np.bitwise_count(g.masks & g.masks[_rank(g, source, "source")]).astype(np.int32)
 
 
 def distance_profile(g: ExplicitGraph, found: Search) -> dict[int, int | float]:

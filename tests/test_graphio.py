@@ -3,10 +3,12 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gjg.graphio
 from gjg.errors import InvalidSet, OutOfRange
 from gjg.formulas import report_for
 from gjg.graphio import export_graph, export_report, rank, unrank
@@ -169,6 +171,28 @@ class TestExportGraph:
             f"{u} {w}\n" for u, w in pairs).encode()
         assert export_graph(g, "dimacs") == (f"p edge {len(subsets)} {len(pairs)}\n" + "".join(
             f"e {u + 1} {w + 1}\n" for u, w in pairs)).encode()
+
+    def test_labels_cross_999_to_1000(self):
+        # n = 1001: the last 0-based label is 1000, the last 1-based 1001.
+        g = build_graph(P(14, 4, 1))
+        dense = np.unpackbits(g.adj, axis=1, count=g.n).astype(bool)
+        pairs = np.transpose(np.nonzero(np.triu(dense, 1))).tolist()
+        assert (g.n, len(pairs)) == (1001, 240240)
+        assert export_graph(g, "edgelist") == "".join(f"{u} {w}\n" for u, w in pairs).encode()
+        assert export_graph(g, "dimacs") == ("p edge 1001 240240\n" + "".join(
+            f"e {u + 1} {w + 1}\n" for u, w in pairs)).encode()
+
+    def test_dropped_edge_drops_exactly_the_last_line(self, monkeypatch):
+        # perfbench's correctness gate sabotages export through this seam
+        # (its _dropped_edge): both payloads must then differ from the
+        # recorded ones, by exactly their last line.
+        g = build_graph(P(7, 3, 0))
+        full = {fmt: export_graph(g, fmt) for fmt in ("edgelist", "dimacs")}
+        real = gjg.graphio._undirected_edges
+        monkeypatch.setattr(gjg.graphio, "_undirected_edges", lambda g: list(real(g))[:-1])
+        for fmt, payload in full.items():
+            lines = payload.splitlines(keepends=True)
+            assert export_graph(g, fmt) == b"".join(lines[:-1]), fmt
 
     def test_memory_is_a_small_multiple_of_the_payload(self):
         g = build_graph(P(13, 6, 3))  # 600600 edges, a 5.2 MB edgelist

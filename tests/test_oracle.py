@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import tracemalloc
 from collections import Counter, deque
@@ -20,6 +21,7 @@ from gjg.oracle import (
     _sources,
     bfs_distances,
     build_graph,
+    intersection_with,
     oracle_diameter,
     oracle_distance,
     oracle_girth,
@@ -229,6 +231,20 @@ class TestEdgeBlocks:
             rows = max(1, slab // max(g.adj.shape[1], g.degree))
             assert len(blocks) == math.ceil(g.n / rows), (t, slab)
 
+    # Slabs of 1, 7, 8 and 9 rows start at every offset from a byte
+    # boundary; the graphs add n % 8 == 0, a matching, a complete graph and
+    # an edgeless one to the cases above.
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9])
+    @pytest.mark.parametrize("t", [(9, 4, 1), (7, 3, 1), (7, 3, 0), (8, 3, 1), (6, 3, 0),
+                                   (6, 1, 0), (4, 2, 2)], ids=str)
+    def test_every_diagonal_offset(self, monkeypatch, t, rows):
+        g = build_graph(P(*t))
+        slab = rows * max(g.adj.shape[1], g.degree)
+        monkeypatch.setattr(gjg.oracle, "_SLAB", slab)
+        blocks, edges = self._walk(g)
+        assert edges == _upper_edges(g)
+        assert len(blocks) == math.ceil(g.n / max(1, slab // max(g.adj.shape[1], g.degree)))
+
     def test_slabs_are_sized_in_bytes(self):
         g = build_graph(P(16, 8, 0))
         blocks, (us, ws) = self._walk(g)
@@ -416,6 +432,16 @@ class TestMeasurements:
         for source in (-1, g.n):
             with pytest.raises(OutOfRange, match=rf"source {source} outside \[0, 10\)"):
                 measure(g, source)
+
+    # A rank is an int, not a bool or a numpy integer, inside [0, n), as
+    # graphio.unrank asks; -1 must not wrap around to the last vertex.
+    @pytest.mark.parametrize("bad", [-1, 10, True, 2.0, np.int64(3)], ids=repr)
+    @pytest.mark.parametrize("call", [search, intersection_with, ExplicitGraph.neighbors],
+                             ids=lambda f: f.__name__)
+    def test_per_vertex_calls_take_only_a_rank(self, call, bad):
+        g = build_graph(P(5, 2, 0))
+        with pytest.raises(OutOfRange, match=re.escape(f"{bad!r} outside [0, 10)")):
+            call(g, bad)
 
     def test_search_on_cycles_matches_references(self):
         # The two back-neighbours of a cycle's antipode share a byte of the
