@@ -79,25 +79,26 @@ def _label_table(n: int, offset: int, head: bytes, tail: bytes) -> np.ndarray:
     return np.hstack((fixed(head), digits, fixed(tail)))
 
 
-def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list[np.ndarray]:
+def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list[bytes]:
     """One ASCII line per (u, w) row (prefix, u, space, w, newline), labels
-    shifted by offset, as one uint8 chunk per block of _BLOCK edges.
+    shifted by offset, as one bytes chunk per block of _BLOCK edges.
 
     One table holds 2n fixed-width rows: the first half of every line
     (prefix, label, space), then the second (label, newline), padded in
     front to the same width.  A block of edges plus (0, n), read flat,
-    lists the rows to take, so one gather spells its lines; dropping the
-    pad bytes with one mask leaves them back to back.
+    lists the rows to take, so one gather spells its lines; deleting the
+    pad bytes with one bytes.translate leaves them back to back.
     """
     first = _label_table(n, offset, prefix, b" ")
     second = _label_table(n, offset, b"", b"\n")
     table = np.full((2 * n, first.shape[1]), _PAD, dtype=np.uint8)
     table[:n] = first
     table[n:, len(prefix) :] = second
+    pad = bytes([_PAD])
     chunks = []
     for b0 in range(0, len(edges), _BLOCK):
         line = table.take((edges[b0 : b0 + _BLOCK] + (0, n)).ravel(), axis=0)
-        chunks.append(line[line != _PAD])
+        chunks.append(line.tobytes().translate(None, pad))
     return chunks
 
 

@@ -261,7 +261,7 @@ def _rank(g: ExplicitGraph, r: int, what: str) -> int:
 
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Vertex ranks whose bits are set, ascending."""
-    return np.flatnonzero(np.unpackbits(bits, count=n))
+    return np.flatnonzero(np.unpackbits(bits, count=n).view(bool))
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,12 @@ class TestRankAgainstReference:
                 assert rank(p, s) == _reference_rank(s) == r
 
 
+# Labels cross a decimal width in 0-based or in 1-based form: n = 10
+# (9 -> 10 only 1-based), 120 and 792 (99 -> 100 both ways), plus a graph
+# without edges.
+_REFERENCE_TRIPLES = [(5, 2, 0), (10, 3, 1), (12, 5, 2), (4, 2, 2)]
+
+
 class TestExportGraph:
     def test_matching_edgelist_golden(self):
         g = build_graph(P(6, 3, 0))
@@ -157,10 +163,7 @@ class TestExportGraph:
             lines = export_graph(g, "edgelist").decode().splitlines()
             assert len(lines) == g.n * g.degree // 2
 
-    # Labels cross a decimal width in 0-based or in 1-based form: n = 10
-    # (9 -> 10 only 1-based), 120 and 792 (99 -> 100 both ways), plus a
-    # graph without edges.
-    @pytest.mark.parametrize("triple", [(5, 2, 0), (10, 3, 1), (12, 5, 2), (4, 2, 2)])
+    @pytest.mark.parametrize("triple", _REFERENCE_TRIPLES)
     def test_matches_pure_python_reference(self, triple):
         v, k, i = triple
         subsets = sorted(combinations(range(v), k), key=lambda t: t[::-1])
@@ -194,11 +197,31 @@ class TestExportGraph:
             lines = payload.splitlines(keepends=True)
             assert export_graph(g, fmt) == b"".join(lines[:-1]), fmt
 
-    def test_memory_is_a_small_multiple_of_the_payload(self):
+    # translate drops pads chunk by chunk, so a seam bug would show only
+    # where one block of edges ends and the next begins.
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_block_seams_change_no_byte(self, monkeypatch, block):
+        graphs = [build_graph(P(*t)) for t in [*_REFERENCE_TRIPLES, (14, 4, 1)]]
+        whole = [export_graph(g, fmt) for g in graphs for fmt in ("edgelist", "dimacs")]
+        monkeypatch.setattr(gjg.graphio, "_BLOCK", block)
+        assert [export_graph(g, fmt) for g in graphs for fmt in ("edgelist", "dimacs")] == whole
+
+    def test_pad_is_never_a_payload_byte(self):
+        # Every occurrence of the pad is deleted, so a printable pad would
+        # silently eat real characters.
+        pad = bytes([gjg.graphio._PAD])
+        assert pad not in b"0123456789 \nep"
+        for t in [*_REFERENCE_TRIPLES, (14, 4, 1)]:
+            g = build_graph(P(*t))
+            for fmt in ("edgelist", "dimacs"):
+                assert pad not in export_graph(g, fmt), (t, fmt)
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+    def test_memory_is_a_small_multiple_of_the_payload(self, fmt):
         g = build_graph(P(13, 6, 3))  # 600600 edges, a 5.2 MB edgelist
         tracemalloc.start()
         try:
-            payload = export_graph(g, "edgelist")
+            payload = export_graph(g, fmt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

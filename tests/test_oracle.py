@@ -19,6 +19,7 @@ from gjg.oracle import (
     _SLAB,
     ExplicitGraph,
     _sources,
+    _unpacked,
     bfs_distances,
     build_graph,
     intersection_with,
@@ -338,6 +339,25 @@ def _assert_searches_match(g, adj, label):
         assert found.source == s, (label, s)
         assert found.dist.tolist() == dist, (label, s)
         assert (found.girth, found.odd_girth) == (girth, odd_girth), (label, s)
+
+
+class TestUnpacked:
+    # Rows carry every pad bit past n set, so only count=n keeps them out;
+    # the bool view must give the same ranks as the bits read one by one.
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_matches_bit_reader_and_ignores_pad_bits(self, n):
+        rng = np.random.default_rng(n)
+        width = (n + 7) // 8
+        pad = np.zeros(width, dtype=np.uint8)
+        pad[-1] = 0xFF >> (n - 8 * (width - 1))
+        rows = [np.zeros(width, dtype=np.uint8), np.full(width, 0xFF, dtype=np.uint8)]
+        rows += [rng.integers(0, 256, width, dtype=np.uint8) for _ in range(20)]
+        for row in rows:
+            row = row | pad
+            expected = [r for r in range(n) if row[r // 8] >> (7 - r % 8) & 1]
+            got = _unpacked(row, n)
+            assert got.tolist() == expected, (n, row)
+            assert np.all(np.diff(got) > 0) and np.all(got < n), (n, row)
 
 
 class TestMeasurements:
