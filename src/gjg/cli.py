@@ -56,6 +56,12 @@ def _add_triple(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--i", type=int, required=True, help="|A ∩ B| of adjacent vertices")
 
 
+def _add_pair(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--x", type=int, default=None, help="|A ∩ B| of the canonical pair")
+    sub.add_argument("--a", type=_parse_set, default=None, help="first vertex, e.g. 0,1,2,3")
+    sub.add_argument("--b", type=_parse_set, default=None, help="second vertex")
+
+
 def _budget(args) -> int:
     budget, env = args.max_vertices, os.environ.get("GJG_MAX_VERTICES")
     if budget is None and env is not None:
@@ -69,12 +75,13 @@ def _budget(args) -> int:
 
 
 def _vertex_pair(p: Parameters, args, usage: str):
-    """The pair --a/--b, else the canonical pair meeting in --x elements."""
-    if args.a is not None and args.b is not None:
+    """The canonical pair meeting in --x elements, or the pair --a/--b;
+    exactly one of the two forms, else the usage error."""
+    if args.x is not None and args.a is None and args.b is None:
+        return witness.canonical_pair(p, args.x)  # range-checks x
+    if args.x is None and args.a is not None and args.b is not None:
         return vertex(p, args.a), vertex(p, args.b)
-    if args.x is None:
-        raise _UsageError(usage)
-    return witness.canonical_pair(p, args.x)  # range-checks x
+    raise _UsageError(usage)
 
 
 def _print_report_text(rep) -> None:
@@ -90,12 +97,18 @@ def _print_report_text(rep) -> None:
         print(f"  x={x}: {graphio.format_value(rep.distance_profile[x])}")
 
 
-def _print_walk(p: Parameters, w: Walk, label: str, verified: bool) -> None:
+def _print_walk(p: Parameters, w: Walk, label: str) -> int:
+    """Verify the walk, then print it; a walk that fails verification is
+    not printed, only one line on stderr, and the exit code is 1."""
+    if not witness.verify_walk(p, w):
+        print("internal error: constructed walk failed verification", file=sys.stderr)
+        return EXIT_DOMAIN
     print(f"{label} of length {w.claimed_length} in {p}:")
     for s in w.vertices:
         body = ",".join(str(e) for e in s)
         print(f"  rank {graphio.rank(p, s):>6} {{{body}}}")
-    print(f"verified: {graphio.format_value(verified)}")
+    print("verified: true")
+    return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
@@ -111,10 +124,7 @@ def cmd_distance(args) -> int:
     p = make_parameters(args.v, args.k, args.i)
     a, b = _vertex_pair(p, args, "provide --x or both --a and --b")
     print(graphio.format_value(invariant_report(p).distance_profile[len(set(a) & set(b))]))
-    if args.witness:
-        walk = witness.geodesic(p, a, b)
-        _print_walk(p, walk, "geodesic", witness.verify_walk(p, walk))
-    return EXIT_OK
+    return _print_walk(p, witness.geodesic(p, a, b), "geodesic") if args.witness else EXIT_OK
 
 
 def cmd_witness(args) -> int:
@@ -128,12 +138,7 @@ def cmd_witness(args) -> int:
     else:
         walk = witness.odd_closed_walk(p)
         label = "odd closed walk"
-    verified = witness.verify_walk(p, walk)
-    if not verified:
-        print("internal error: constructed walk failed verification", file=sys.stderr)
-        return EXIT_DOMAIN
-    _print_walk(p, walk, label, verified)
-    return EXIT_OK
+    return _print_walk(p, walk, label)
 
 
 def cmd_export(args) -> int:
@@ -212,18 +217,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("distance", help="distance for a given |A ∩ B| or vertex pair")
     _add_triple(s)
-    s.add_argument("--x", type=int, default=None, help="|A ∩ B| of the canonical pair")
-    s.add_argument("--a", type=_parse_set, default=None, help="first vertex, e.g. 0,1,2,3")
-    s.add_argument("--b", type=_parse_set, default=None, help="second vertex")
+    _add_pair(s)
     s.add_argument("--witness", action="store_true", help="also print a geodesic")
     s.set_defaults(func=cmd_distance)
 
     s = subs.add_parser("witness", help="explicit cycle, odd closed walk, or geodesic")
     _add_triple(s)
     s.add_argument("kind", choices=["cycle", "oddwalk", "geodesic"])
-    s.add_argument("--x", type=int, default=None)
-    s.add_argument("--a", type=_parse_set, default=None)
-    s.add_argument("--b", type=_parse_set, default=None)
+    _add_pair(s)
     s.set_defaults(func=cmd_witness)
 
     s = subs.add_parser("verify", help="sweep all triples, compare formulas to the oracle")

@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import OutOfRange
-from .params import Parameters, delta, vertex
+from .params import Parameters, delta, rank_index, vertex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .formulas import InvariantReport
@@ -32,17 +31,16 @@ def rank(p: Parameters, s: Sequence[int]) -> int:
 
 
 def unrank(p: Parameters, r: int) -> tuple[int, ...]:
-    """Inverse of rank: the k-subset with colex rank r.
+    """Inverse of rank: the k-subset with colex rank r, which must pass
+    :func:`gjg.params.rank_index` (OutOfRange otherwise).
 
     Walks c = C(e, j) down from C(v, k) by exact integer steps,
     C(e-1, j) = C(e, j)(e-j)/e and C(e-1, j-1) = C(e, j) j/e, so no
     binomial is recomputed.
     """
-    n = comb(p.v, p.k)
-    if type(r) is not int or not 0 <= r < n:
-        raise OutOfRange(f"rank {r!r} is not an integer in [0, {n})")
+    rank_index(p, r)
     out = [0] * p.k
-    e, c = p.v, n
+    e, c = p.v, comb(p.v, p.k)
     for j in range(p.k, 0, -1):
         while c > r:
             c = c * (e - j) // e
@@ -97,6 +95,7 @@ def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list
     pad = bytes([_PAD])
     chunks = []
     for b0 in range(0, len(edges), _BLOCK):
+        # The add promotes to int64, which take needs anyway: it casts its indices to intp.
         line = table.take((edges[b0 : b0 + _BLOCK] + (0, n)).ravel(), axis=0)
         chunks.append(line.tobytes().translate(None, pad))
     return chunks

@@ -33,8 +33,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, OutOfRange, Unsupported
-from .params import Parameters, intersection_range, intersection_size
+from .errors import BudgetExceeded, Unsupported
+from .params import Parameters, intersection_range, intersection_size, rank_index
 
 DEFAULT_VERTEX_BUDGET = 20_000
 MAX_GROUND_SET = 64
@@ -65,8 +65,9 @@ class ExplicitGraph:
     masks: np.ndarray     # uint64 bitmask per vertex
 
     def neighbors(self, u: int) -> np.ndarray:
-        """Ascending ranks of u's neighbors; OutOfRange unless u is a rank."""
-        return _unpacked(self.adj[_rank(self, u, "vertex")], self.n)
+        """Ascending ranks of u's neighbors; OutOfRange unless
+        ``params.rank_index`` accepts u."""
+        return _unpacked(self.adj[rank_index(self.params, u)], self.n)
 
     @property
     def degree(self) -> int:
@@ -251,14 +252,6 @@ def _physical_memory() -> int | float:
     return memory
 
 
-def _rank(g: ExplicitGraph, r: int, what: str) -> int:
-    """r if it is an int (not a bool or numpy integer) in [0, n), the rule
-    of ``graphio.unrank``; OutOfRange otherwise, never a wrapped index."""
-    if type(r) is not int or not 0 <= r < g.n:
-        raise OutOfRange(f"{what} {r!r} outside [0, {g.n})")
-    return r
-
-
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """Vertex ranks whose bits are set, ascending."""
     return np.flatnonzero(np.unpackbits(bits, count=n).view(bool))
@@ -275,7 +268,7 @@ class Search:
 
 
 def search(g: ExplicitGraph, source: int) -> Search:
-    """BFS from source in [0, n) that also finds the girth and odd girth through it.
+    """BFS from a source rank that also finds the girth and odd girth through it.
 
     Level t's rows are OR-reduced in slabs of _SLAB bytes; what the union
     reaches unseen is level t+1.  Until the girth is known, each slab is
@@ -287,7 +280,7 @@ def search(g: ExplicitGraph, source: int) -> Search:
     is at least 2t+1 long; the tree paths to the first such edge give 2t+1.
     """
     adj, n = g.adj, g.n
-    _rank(g, source, "source")
+    rank_index(g.params, source)
     dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
     prev = np.zeros(adj.shape[1], dtype=np.uint8)  # packed level t-1
@@ -362,8 +355,8 @@ def oracle_diameter(g: ExplicitGraph) -> int | float:
 
 def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
     """|S_u ∩ S_source| for every vertex u, via mask popcounts; OutOfRange
-    unless source is a rank."""
-    return np.bitwise_count(g.masks & g.masks[_rank(g, source, "source")]).astype(np.int32)
+    unless ``params.rank_index`` accepts source."""
+    return np.bitwise_count(g.masks & g.masks[rank_index(g.params, source)]).astype(np.int32)
 
 
 def distance_profile(g: ExplicitGraph, found: Search) -> dict[int, int | float]:

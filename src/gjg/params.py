@@ -7,12 +7,14 @@ forms require the normalized form v >= 2k, reachable through
 :func:`normalize` (complementing every vertex set); the witness
 constructions and invariant_report call it themselves.  A vertex is
 what :func:`vertex` accepts, an intersection size what
-:func:`intersection_size` accepts; every entry point that takes one asks it.
+:func:`intersection_size` accepts, a rank what :func:`rank_index` accepts;
+every entry point that takes one asks it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 
@@ -143,3 +145,15 @@ def vertex(p: Parameters, s) -> tuple[int, ...]:
     if t and not (0 <= t[0] and t[-1] < p.v):
         raise InvalidSet(f"elements must lie in [0, {p.v}), got {t}")
     return t
+
+
+def rank_index(p: Parameters, r) -> int:
+    """r as the colex rank of a vertex of J(v,k,i): an int (bools and numpy
+    integers are not) in [0, C(v,k)).  Raises OutOfRange otherwise, so -1
+    never answers for the last vertex."""
+    if type(r) is not int:
+        raise OutOfRange(f"rank must be an integer, got {r!r}")
+    n = math.comb(p.v, p.k)
+    if not 0 <= r < n:
+        raise OutOfRange(f"rank {r} outside [0, {n})")
+    return r

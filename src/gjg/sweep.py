@@ -35,20 +35,24 @@ SMALL_GRAPH_FULL_CHECK = 600
 
 @dataclass
 class SweepConfig:
-    """Sweep bounds; jobs may be a positive integer or 'auto'."""
+    """Sweep bounds, each an int (bools are not); jobs may also be 'auto'."""
 
     v_max: int = 16
     max_vertices: int = oracle.DEFAULT_VERTEX_BUDGET
     jobs: int | str = 1
 
     def __post_init__(self) -> None:
+        if self.jobs == "auto":
+            self.jobs = os.cpu_count() or 1
+        for name in ("v_max", "max_vertices", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.v_max <= 64:
             raise ValueError(f"v_max must be in [2, 64], got {self.v_max}")
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be positive")
-        if self.jobs == "auto":
-            self.jobs = os.cpu_count() or 1
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if self.jobs < 1:
             raise ValueError(f"jobs must be a positive integer or 'auto', got {self.jobs!r}")
 
 

@@ -106,6 +106,20 @@ class TestDistance:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("pair", [
+        ["--x", "1", "--a", "0,1,2,9"],
+        ["--x", "4", "--a", "0,1,2,3", "--b", "0,1,2,3"],
+        ["--x", "1", "--b", "0,1,2,9"],
+        ["--b", "0,1,2,9"],
+    ], ids=["x-a", "x-a-b", "x-b", "b"])
+    @pytest.mark.parametrize("cmd, usage", [
+        (["distance"], "provide --x or both --a and --b"),
+        (["witness", "geodesic"], "geodesic needs --x or both --a and --b"),
+    ], ids=["distance", "witness"])
+    def test_pair_is_x_or_a_and_b_never_both(self, capsys, cmd, usage, pair):
+        code, out, err = run(capsys, *cmd, "--v", "10", "--k", "4", "--i", "2", *pair)
+        assert (code, out, err) == (2, "", f"error: {usage}\n")
+
 
 class TestWitness:
     def test_odd_walk_odd_graph(self, capsys):
@@ -171,6 +185,19 @@ class TestWitness:
         assert code == 0
         assert "verified: true" in out
         assert len(calls) == 1
+
+    # A walk that fails verification is never printed: one stderr line and
+    # exit 1 from both commands.  distance prints its number first, as it
+    # does when the geodesic cannot be built.
+    @pytest.mark.parametrize("argv, before", [
+        (["witness", "--v", "8", "--k", "4", "--i", "1", "geodesic", "--x", "0"], ""),
+        (["distance", "--v", "8", "--k", "4", "--i", "1", "--x", "0", "--witness"], "3\n"),
+    ], ids=["witness", "distance"])
+    def test_unverified_geodesic_exit_1(self, capsys, monkeypatch, argv, before):
+        monkeypatch.setattr(gjg.witness, "verify_walk", lambda p, w: False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, before)
+        assert err == "internal error: constructed walk failed verification\n"
 
 
 class TestExport:

@@ -14,7 +14,7 @@ import pytest
 import gjg.oracle
 from gjg.errors import BudgetExceeded, OutOfRange, Unsupported
 from gjg.formulas import INFINITE
-from gjg.graphio import rank
+from gjg.graphio import rank, unrank
 from gjg.oracle import (
     _SLAB,
     ExplicitGraph,
@@ -450,18 +450,22 @@ class TestMeasurements:
     def test_search_rejects_a_source_outside_the_graph(self, measure):
         g = build_graph(P(5, 2, 0))
         for source in (-1, g.n):
-            with pytest.raises(OutOfRange, match=rf"source {source} outside \[0, 10\)"):
+            with pytest.raises(OutOfRange, match=rf"^rank {source} outside \[0, 10\)$"):
                 measure(g, source)
 
-    # A rank is an int, not a bool or a numpy integer, inside [0, n), as
-    # graphio.unrank asks; -1 must not wrap around to the last vertex.
-    @pytest.mark.parametrize("bad", [-1, 10, True, 2.0, np.int64(3)], ids=repr)
-    @pytest.mark.parametrize("call", [search, intersection_with, ExplicitGraph.neighbors],
+    # A rank is what params.rank_index accepts: an int, not a bool or a
+    # numpy integer, inside [0, n); -1 must not wrap around to the last
+    # vertex.  Every entry point that takes one says the same.
+    @pytest.mark.parametrize("bad", [-1, 10, True, 2.0, np.int64(3), None, "1"], ids=repr)
+    @pytest.mark.parametrize("call", [search, bfs_distances, intersection_with,
+                                      ExplicitGraph.neighbors, unrank],
                              ids=lambda f: f.__name__)
     def test_per_vertex_calls_take_only_a_rank(self, call, bad):
         g = build_graph(P(5, 2, 0))
-        with pytest.raises(OutOfRange, match=re.escape(f"{bad!r} outside [0, 10)")):
-            call(g, bad)
+        fault = (f"rank {bad} outside [0, 10)" if type(bad) is int
+                 else f"rank must be an integer, got {bad!r}")
+        with pytest.raises(OutOfRange, match=f"^{re.escape(fault)}$"):
+            call(g.params if call is unrank else g, bad)
 
     def test_search_on_cycles_matches_references(self):
         # The two back-neighbours of a cycle's antipode share a byte of the

@@ -38,6 +38,14 @@ class TestSweepConfig:
             SweepConfig(jobs=0)
         with pytest.raises(ValueError):
             SweepConfig(jobs="many")
+        # A float would fail later inside sweep_triples; a bool would pass
+        # for a job count or a budget of 1.
+        with pytest.raises(ValueError, match="^v_max must be an integer, got 3.5$"):
+            SweepConfig(v_max=3.5)
+        with pytest.raises(ValueError, match="^jobs must be an integer, got True$"):
+            SweepConfig(jobs=True)
+        with pytest.raises(ValueError, match="^max_vertices must be an integer, got True$"):
+            SweepConfig(max_vertices=True)
 
 
 class TestSweepTriples:
