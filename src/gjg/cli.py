@@ -132,6 +132,8 @@ def cmd_witness(args) -> int:
     if args.kind == "geodesic":
         walk = witness.geodesic(p, *_vertex_pair(p, args, "geodesic needs --x or both --a and --b"))
         label = "geodesic"
+    elif (args.x, args.a, args.b) != (None, None, None):
+        raise _UsageError(f"{args.kind} takes no --x, --a or --b")
     elif args.kind == "cycle":
         walk = witness.shortest_cycle(p)
         label = "cycle"

@@ -65,39 +65,39 @@ def _undirected_edges(g: "ExplicitGraph") -> np.ndarray:
     return edges
 
 
-def _label_table(n: int, offset: int, head: bytes, tail: bytes) -> np.ndarray:
-    """Row r spells head, then the decimal digits of r + offset right-aligned
-    behind leading _PAD bytes, then tail: (n, fixed width) ASCII uint8."""
+def _label_table(n: int, offset: int, prefix: bytes) -> np.ndarray:
+    """A (2, n, width) ASCII uint8 table: row r of half 0 spells prefix,
+    the digits of r + offset and a space, of half 1 _PAD bytes, the same
+    digits and a newline.  Digits are right-aligned behind leading _PADs."""
     top = n - 1 + offset
     labels = np.arange(offset, top + 1)[:, None]
     scale = 10 ** np.arange(len(str(top)) - 1, -1, -1)
-    digits = (labels // scale % 10 + ord("0")).astype(np.uint8)
+    digits = labels // scale % 10 + ord("0")
     digits[(labels < scale) & (scale > 1)] = _PAD
-    fixed = lambda b: np.broadcast_to(np.frombuffer(b, dtype=np.uint8), (n, len(b)))
-    return np.hstack((fixed(head), digits, fixed(tail)))
+    table = np.full((2, n, len(prefix) + scale.size + 1), _PAD, dtype=np.uint8)
+    table[:, :, -scale.size - 1 : -1] = digits  # one digit block, both halves
+    table[0, :, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    table[:, :, -1] = [[ord(" ")], [ord("\n")]]
+    return table
 
 
 def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list[bytes]:
     """One ASCII line per (u, w) row (prefix, u, space, w, newline), labels
     shifted by offset, as one bytes chunk per block of _BLOCK edges.
 
-    One table holds 2n fixed-width rows: the first half of every line
-    (prefix, label, space), then the second (label, newline), padded in
-    front to the same width.  A block of edges plus (0, n), read flat,
-    lists the rows to take, so one gather spells its lines; deleting the
-    pad bytes with one bytes.translate leaves them back to back.
+    Read as 2n rows, the label table holds every line's first half in rows
+    0..n-1 and its second in rows n..2n-1.  A block cast once to a flat
+    intp index, n added to each w in place, lists the rows to take, so one
+    gather (making no index copy of its own) spells the block's lines and
+    one bytes.translate deletes the pads between them.
     """
-    first = _label_table(n, offset, prefix, b" ")
-    second = _label_table(n, offset, b"", b"\n")
-    table = np.full((2 * n, first.shape[1]), _PAD, dtype=np.uint8)
-    table[:n] = first
-    table[n:, len(prefix) :] = second
+    table = _label_table(n, offset, prefix).reshape(2 * n, -1)
     pad = bytes([_PAD])
     chunks = []
     for b0 in range(0, len(edges), _BLOCK):
-        # The add promotes to int64, which take needs anyway: it casts its indices to intp.
-        line = table.take((edges[b0 : b0 + _BLOCK] + (0, n)).ravel(), axis=0)
-        chunks.append(line.tobytes().translate(None, pad))
+        rows = edges[b0 : b0 + _BLOCK].astype(np.intp).ravel()
+        rows[1::2] += n
+        chunks.append(table.take(rows, axis=0).tobytes().translate(None, pad))
     return chunks
 
 
@@ -109,7 +109,7 @@ def export_graph(g: "ExplicitGraph", format: str) -> bytes:
     a block of them at a time with numpy, so no Python object is made per
     edge and the memory needed is a small multiple of the payload.
     """
-    fmt = format.lower()
+    fmt = format.lower() if isinstance(format, str) else format
     if fmt not in ("edgelist", "dimacs"):
         raise ValueError(f"unknown format {format!r}; expected 'edgelist' or 'dimacs'")
     edges = np.asarray(_undirected_edges(g), dtype=np.int32).reshape(-1, 2)

@@ -154,6 +154,17 @@ class TestWitness:
         assert code == 0
         assert "geodesic of length 2" in out
 
+    @pytest.mark.parametrize("pair", [
+        ["--x", "9"],
+        ["--a", "1,2"],
+        ["--b", "0,1,2,3"],
+        ["--x", "9", "--a", "1,2"],
+    ], ids=["x", "a", "b", "x-a"])
+    @pytest.mark.parametrize("kind", ["cycle", "oddwalk"])
+    def test_cycle_and_oddwalk_take_no_pair(self, capsys, kind, pair):
+        code, out, err = run(capsys, "witness", "--v", "8", "--k", "4", "--i", "1", kind, *pair)
+        assert (code, out, err) == (2, "", f"error: {kind} takes no --x, --a or --b\n")
+
     def test_degenerate_exit_1(self, capsys):
         code, _, err = run(capsys, "witness", "--v", "6", "--k", "3", "--i", "0",
                            "cycle")

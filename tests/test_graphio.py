@@ -232,6 +232,41 @@ class TestExportGraph:
         with pytest.raises(ValueError):
             export_graph(g, "graphml")
 
+    @pytest.mark.parametrize("fmt", [None, 3])
+    def test_format_that_is_not_a_string(self, fmt):
+        g = build_graph(P(5, 2, 0))
+        with pytest.raises(ValueError, match=f"^unknown format {fmt!r}; "):
+            export_graph(g, fmt)
+
+    @pytest.mark.parametrize("prefix", [b"", b"e "])
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("n", [9, 10, 11, 100, 1001])
+    def test_label_table_is_padded_labels(self, n, offset, prefix):
+        # Half 0 of row r is the first half of a line, half 1 the second,
+        # each padded in front to the width of the largest label.
+        fill = f"{chr(gjg.graphio._PAD)}>{len(str(n - 1 + offset))}"
+        halves = [[prefix + format(r + offset, fill).encode() + b" " for r in range(n)],
+                  [bytes(len(prefix) * [gjg.graphio._PAD]) + format(r + offset, fill).encode()
+                   + b"\n" for r in range(n)]]
+        table = gjg.graphio._label_table(n, offset, prefix)
+        assert table.dtype == np.uint8
+        assert [[row.tobytes() for row in half] for half in table] == halves
+
+    # One block ends on (0, n - 1) with _BLOCK = 2, on (n - 2, n - 1) with 3:
+    # the largest label closes a chunk.  n = 10 widens only the 1-based labels.
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp])
+    def test_encode_edges_matches_python(self, monkeypatch, dtype, block):
+        n, pairs = 10, [(0, 1), (0, 9), (8, 9)]
+        edges = np.array(pairs, dtype=dtype)
+        monkeypatch.setattr(gjg.graphio, "_BLOCK", block)
+        for offset, prefix in [(0, b""), (1, b"e ")]:
+            chunks = gjg.graphio._encode_edges(edges, n, offset, prefix)
+            assert len(chunks) == -(-len(pairs) // block)
+            assert b"".join(chunks) == b"".join(
+                b"%s%d %d\n" % (prefix, u + offset, w + offset) for u, w in pairs)
+        assert edges.tolist() == [list(e) for e in pairs]  # the index is a copy
+
 
 class TestExportReport:
     def test_formula_report_golden(self):
