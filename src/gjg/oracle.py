@@ -43,7 +43,10 @@ INFINITE = math.inf
 
 # Memory limit files of cgroup v2, then v1 (which reads a huge number when unlimited).
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
-_SLAB = 1 << 16  # elements per vectorized step: bits or bytes of packed rows
+# Elements per vectorized step: bits or bytes of packed rows.  A step pays a
+# few dozen numpy calls, so larger is faster until its live arrays outgrow
+# a core's L2 cache or lift a build's peak above 1.25 x its adjacency rows.
+_SLAB = 1 << 17
 _CROSS_CHECKS = 3  # extra random sources behind every per-source measurement
 
 
@@ -163,12 +166,16 @@ def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
     bit b of every column's count, and each member row is added by
     ripple-carry.  A plane is added once the count can reach its bit, so
     k elements need ceil(log2(k+1)) planes.  A column's count is i when
-    every plane agrees with the matching bit of i.  No count exceeds the
+    every plane agrees with the matching bit of i: the planes where i's
+    bit is 0 are inverted in place, and the AND of all planes is the
+    result.  With no elements every count is 0.  No count exceeds the
     number of elements, so a larger i gives zero rows without counting.
     """
     shape = (elems.shape[0], member.shape[1])
     if i > elems.shape[1]:
         return np.zeros(shape, dtype=np.uint64)
+    if not elems.shape[1]:
+        return np.full(shape, ~np.uint64(0))
     planes: list[np.ndarray] = []
     spare = np.empty(shape, dtype=np.uint64)
     for j in range(elems.shape[1]):
@@ -179,9 +186,12 @@ def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
             carry, spare = spare, carry
         if len(planes) < (j + 1).bit_length():
             planes.append(carry)
-    hit = np.full(shape, ~np.uint64(0))
+    hit = planes[0]
     for b, plane in enumerate(planes):
-        hit &= plane if (i >> b) & 1 else ~plane
+        if not (i >> b) & 1:
+            np.invert(plane, out=plane)
+        if b:
+            hit &= plane
     return hit
 
 
@@ -208,16 +218,21 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
     # Refuse before allocating: adj, the family tables (masks, member rows,
-    # the elements inside and outside each vertex) and one slab of counters.
+    # the elements inside and outside each vertex) and the arrays of one
+    # step, each step rows of uint64 words: _overlap_is's count planes, its
+    # spare, its carry and the member rows fetched while that carry is still
+    # held, plus the previous step's result, which the loop below still holds.
     row = (n + 7) // 8
-    need = n * row + n * (8 + p.v + p.v) + _SLAB * (p.k.bit_length() + 3)
+    step = max(1, _SLAB // row)
+    planes = min(p.k, p.v - p.k).bit_length()
+    step_bytes = min(n, step) * ((n + 63) // 64) * 8
+    need = n * row + n * (8 + p.v + p.v) + step_bytes * (planes + 4)
     if need > (memory := _physical_memory()):
         raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")
     masks, member, elems, outside = _family(p.v, p.k)
     side, target = (elems, p.i) if p.k <= p.v - p.k else (outside, p.k - p.i)
     g = ExplicitGraph(p, n, np.empty((n, row), dtype=np.uint8), masks)
     pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
-    step = max(1, _SLAB // g.adj.shape[1])
     for r0 in range(0, n, step):
         hit = _overlap_is(member, side[r0 : r0 + step], target)
         packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order

@@ -10,7 +10,8 @@ Witnesses are checked here only for v >= 2k; ``tests/test_witness.py``
 covers the lifted constructions for v < 2k.  Results carry the oracle's
 report so the complement isomorphism can be checked across triples
 afterwards.  The process pool is imported only when a sweep runs with
-jobs > 1, so importing this module does not load multiprocessing.
+jobs > 1 and has more than one chunk of triples to hand out, so importing
+this module does not load multiprocessing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ from .params import GraphClass, Parameters, delta, intersection_range, make_para
 
 MIN_PAIR_SAMPLES = 10
 SMALL_GRAPH_FULL_CHECK = 600
+_CHUNK = 8  # triples per task handed to a pool worker
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU the OS reports."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -43,7 +53,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.jobs == "auto":
-            self.jobs = os.cpu_count() or 1
+            self.jobs = _usable_cpus()
         for name in ("v_max", "max_vertices", "jobs"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -417,11 +427,13 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepOutcome:
     triples = sweep_triples(cfg)
     check = partial(check_triple, max_vertices=cfg.max_vertices)
     results: list[TripleResult] = []
-    parallel = cfg.jobs > 1 and len(triples) > 1
-    if parallel:
+    # The pool forks every worker up front, so it gets no more workers than
+    # there are chunks to hand out; one chunk runs here, without a pool.
+    jobs = min(cfg.jobs, math.ceil(len(triples) / _CHUNK))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(cfg.jobs) if parallel else nullcontext() as pool:
-        for r in pool.map(check, *zip(*triples), chunksize=8) if pool else starmap(check, triples):
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for r in pool.map(check, *zip(*triples), chunksize=_CHUNK) if pool else starmap(check, triples):
             results.append(r)
             if progress:
                 progress(r)

@@ -105,14 +105,32 @@ class TestBuildGraph:
                 assert np.array_equal(g.adj[u0 : u0 + 256], np.packbits(hit, axis=1)), (t, u0)
 
     def test_memory_is_a_small_multiple_of_the_graph(self):
-        build_graph(P(15, 7, 0))  # the (15, 7) family is cached from here on
+        # J(15,8,4) counts over the 7 elements outside each vertex.
+        for t in [(15, 7, 3), (15, 8, 4)]:
+            build_graph(P(*t[:2], 0))  # the family is cached from here on
+            tracemalloc.start()
+            try:
+                g = build_graph(P(*t))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * g.adj.nbytes, (t, peak, g.adj.nbytes)
+
+    @pytest.mark.parametrize("t", [(13, 6, 3), (14, 7, 2), (15, 7, 3), (15, 8, 4)], ids=str)
+    def test_memory_estimate_bounds_a_cold_build(self, monkeypatch, t):
+        with monkeypatch.context() as m:
+            m.setattr(gjg.oracle, "_physical_memory", lambda: 0)
+            with pytest.raises(BudgetExceeded) as refused:
+                build_graph(P(*t))
+        need = int(re.search(r"needs about (\d+) bytes", str(refused.value))[1])
+        gjg.oracle._FAMILY.clear()  # the family is derived inside the measured build
         tracemalloc.start()
         try:
-            g = build_graph(P(15, 7, 3))
+            build_graph(P(*t))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * g.adj.nbytes, (peak, g.adj.nbytes)
+        assert peak <= need, (peak, need)
 
     def test_refuses_a_build_beyond_physical_memory(self, monkeypatch):
         # The estimate is checked before the family or adj is allocated.
@@ -249,11 +267,11 @@ class TestEdgeBlocks:
     def test_slabs_are_sized_in_bytes(self):
         g = build_graph(P(16, 8, 0))
         blocks, (us, ws) = self._walk(g)
-        assert len(blocks) <= math.ceil(g.n / (_SLAB // math.ceil(g.n / 8)))  # 322, not 2574
+        assert len(blocks) <= math.ceil(g.n / (_SLAB // math.ceil(g.n / 8)))  # 159, not 1287
         assert len(us) == g.edge_count and all(w == g.n - 1 - u for u, w in zip(us, ws))
 
     def test_slabs_hold_at_most_a_slab_of_edges(self):
-        # J(14,4,1): 126 bytes and 480 edges per row, so 136 rows, not 520.
+        # J(14,4,1): 126 bytes and 480 edges per row, so 273 rows, not 1040.
         g = build_graph(P(14, 4, 1))
         blocks, _ = self._walk(g)
         assert max(us.size for us, _ in blocks) <= _SLAB
@@ -437,11 +455,20 @@ class TestMeasurements:
             assert oracle_odd_girth(g) == odd_girth, t
             assert g.edge_count == sum(map(len, adj)) // 2, t
 
-    def test_search_matches_pure_python_references(self):
-        # Every triple with v <= 9: matchings, odd graphs, v < 2k, and
-        # disconnected and edgeless graphs among them.
-        for t in [(v, k, i) for v in range(10) for k in range(v + 1) for i in range(k + 1)]:
+    # Every triple with v <= 9: matchings, odd graphs, v < 2k, and
+    # disconnected and edgeless graphs among them.  Slabs of one to three
+    # rows split every BFS level, and every build, across steps; graphs of
+    # girth 4 to 6 with odd girth 5 to 9 carry a cycle test from step to
+    # step, J(8,5,2) and J(7,4,1) counting over the complement.
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    def test_search_matches_pure_python_references(self, monkeypatch, rows):
+        triples = [(v, k, i) for v in range(10) for k in range(v + 1) for i in range(k + 1)]
+        if rows:
+            triples = [(8, 3, 0), (8, 5, 2), (5, 2, 0), (7, 3, 0), (7, 4, 1), (9, 4, 0), (7, 3, 1)]
+        for t in triples:
             p = P(*t)
+            if rows:
+                monkeypatch.setattr(gjg.oracle, "_SLAB", rows * math.ceil(math.comb(*t[:2]) / 8))
             g = build_graph(p)
             # n <= C(9,4) = 126, so every source is searched.
             _assert_searches_match(g, [g.neighbors(u).tolist() for u in range(g.n)], t)

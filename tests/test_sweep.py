@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 from collections import Counter
 from itertools import combinations
 
@@ -26,6 +28,17 @@ class TestSweepConfig:
     def test_auto_jobs_becomes_positive_int(self):
         cfg = SweepConfig(jobs="auto")
         assert isinstance(cfg.jobs, int) and cfg.jobs >= 1
+
+    def test_auto_jobs_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert SweepConfig(jobs="auto").jobs == 3
+
+    @pytest.mark.parametrize("cpus, jobs", [(64, 64), (None, 1)])
+    def test_auto_jobs_without_affinity_counts_every_cpu(self, monkeypatch, cpus, jobs):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert SweepConfig(jobs="auto").jobs == jobs
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -268,6 +281,38 @@ def test_interface_probes_run_under_default_config():
 def test_empty_sweep_passes_with_no_results(jobs):
     out = run_sweep(SweepConfig(max_vertices=1, jobs=jobs))
     assert out.passed and out.results == [] and out.total_checks == 0
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+# Chunks of 8 triples: v_max=3 has 4 triples, one chunk, which runs
+# without a pool; v_max=4 has 10, two chunks; v_max=7 has 56, seven.
+@pytest.mark.parametrize("v_max, jobs, pools", [
+    (3, 64, []), (3, 2, []), (4, 64, [2]), (4, 2, [2]), (7, 64, [7]), (7, 3, [3]),
+])
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, v_max, jobs, pools):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = SweepConfig(v_max=v_max, max_vertices=100, jobs=jobs)
+    out = run_sweep(cfg)
+    assert _RecordingPool.sizes == pools
+    assert out.passed and [r.triple for r in out.results] == sweep_triples(cfg)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
