@@ -102,18 +102,18 @@ def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list
 
 
 def export_graph(g: "ExplicitGraph", format: str) -> bytes:
-    """Serialize adjacency as 'edgelist' (0-based) or 'dimacs' (1-based).
+    """Serialize adjacency as exactly 'edgelist' (0-based) or 'dimacs'
+    (1-based); any other value, 'DIMACS' included, raises ValueError.
 
     Output is byte-identical across runs: edges sorted by (u, w) with
     u < w, every line newline-terminated.  Edges are encoded in bulk,
     a block of them at a time with numpy, so no Python object is made per
     edge and the memory needed is a small multiple of the payload.
     """
-    fmt = format.lower() if isinstance(format, str) else format
-    if fmt not in ("edgelist", "dimacs"):
+    if format not in ("edgelist", "dimacs"):
         raise ValueError(f"unknown format {format!r}; expected 'edgelist' or 'dimacs'")
     edges = np.asarray(_undirected_edges(g), dtype=np.int32).reshape(-1, 2)
-    if fmt == "edgelist":
+    if format == "edgelist":
         return b"".join(_encode_edges(edges, g.n, 0, b""))
     header = f"p edge {g.n} {g.edge_count}\n".encode("ascii")
     return b"".join([header, *_encode_edges(edges, g.n, 1, b"e ")])

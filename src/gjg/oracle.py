@@ -9,19 +9,20 @@ Adjacency is one packed bit matrix: row u has bit w set when |S_u ∩ S_w|
 equals i.  Row u counts, for every w at once, how many elements of S_u or
 of range(v) ∖ S_u, whichever is smaller, lie in S_w; no formula is
 consulted.  Counting over S_u keeps count i; counting over its complement
-keeps count k - i, because |S_w ∖ S_u| = k - |S_u ∩ S_w|, and a target
-beyond v - k (i < 2k - v, the edgeless triples) is not counted at all.
-Every search works on the rows directly, a BFS level being the OR of the
-frontier's rows.
+keeps count k - i, because |S_w ∖ S_u| = k - |S_u ∩ S_w|.  Rows with no
+possible partner (i = k, or a target beyond v - k: the edgeless triples
+i < 2k - v) are zero and not counted at all.  Every search works on the
+rows directly, a BFS level being the OR of the frontier's rows.
 
-Single-source shortcuts (one BFS for eccentricity, girth, odd girth) are
+Single-source shortcuts (one BFS for distances, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
 acts transitively on vertices; since the point of this module is
 independence, every such value is still cross-checked from randomly
 chosen extra sources.  One BFS per source (``search``) measures all
 of them; the caller holds the searches, and a built graph never changes.
 Distances come from one measurement, the profile: BFS from a source to
-every vertex, a function of the size of their intersection.
+every vertex, a function of the size of their intersection.  The
+diameter is the profile's largest distance, every class being non-empty.
 """
 
 from __future__ import annotations
@@ -160,24 +161,20 @@ def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
     """Packed rows as uint64 words, one per row of elems: bit w is set when
-    exactly i of those elements lie in S_w.
+    exactly i of those elements lie in S_w.  Precondition: elems has at
+    least one column and 0 <= i <= its width; ``build_graph`` leaves every
+    other row zero without calling here.
 
     The member rows of the elements are summed bit-sliced: plane b holds
     bit b of every column's count, and each member row is added by
     ripple-carry.  A plane is added once the count can reach its bit, so
-    k elements need ceil(log2(k+1)) planes.  A column's count is i when
+    w elements need w.bit_length() planes.  A column's count is i when
     every plane agrees with the matching bit of i: the planes where i's
     bit is 0 are inverted in place, and the AND of all planes is the
-    result.  With no elements every count is 0.  No count exceeds the
-    number of elements, so a larger i gives zero rows without counting.
+    result.
     """
-    shape = (elems.shape[0], member.shape[1])
-    if i > elems.shape[1]:
-        return np.zeros(shape, dtype=np.uint64)
-    if not elems.shape[1]:
-        return np.full(shape, ~np.uint64(0))
     planes: list[np.ndarray] = []
-    spare = np.empty(shape, dtype=np.uint64)
+    spare = np.empty((elems.shape[0], member.shape[1]), dtype=np.uint64)
     for j in range(elems.shape[1]):
         carry = member[elems[:, j]]
         for plane in planes:
@@ -186,6 +183,7 @@ def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
             carry, spare = spare, carry
         if len(planes) < (j + 1).bit_length():
             planes.append(carry)
+        del carry  # spent unless it became a plane: free it before the next fetch
     hit = planes[0]
     for b, plane in enumerate(planes):
         if not (i >> b) & 1:
@@ -203,10 +201,11 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     (``_overlap_is``): set membership alone, with no formula consulted.
     When k <= v - k the side is S_u and the row keeps the columns whose
     count is i.  Otherwise the side is the complement, and since
-    |S_w ∖ S_u| = k - |S_u ∩ S_w|, the row keeps count k - i; that count
-    exceeds v - k exactly for the edgeless triples (i < 2k - v), whose
-    rows are zero without counting.  Every row's degree is checked against
-    C(k,i)*C(v-k,k-i) as it is built.
+    |S_w ∖ S_u| = k - |S_u ∩ S_w|, the row keeps count k - i.  Rows with
+    no possible partner stay zero and are never counted: at i = k only S_u
+    meets S_u in k elements, and the edgeless triples' target k - i
+    exceeds the side's v - k.  Every counted row's degree is checked
+    against C(k,i)*C(v-k,k-i) as it is built.
 
     Raises BudgetExceeded when C(v,k) > vertex_budget or the estimated
     bytes of the build exceed physical memory, and Unsupported for ground
@@ -218,33 +217,32 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
     # Refuse before allocating: adj, the family tables (masks, member rows,
-    # the elements inside and outside each vertex) and the arrays of one
-    # step, each step rows of uint64 words: _overlap_is's count planes, its
-    # spare, its carry and the member rows fetched while that carry is still
-    # held, plus the previous step's result, which the loop below still holds.
+    # the elements inside and outside each vertex) and the arrays live in
+    # one step, each step rows of uint64 words: _overlap_is's count planes,
+    # its spare and its carry.  The previous step's result and the spent
+    # carry are freed before the next step's arrays are allocated.
     row = (n + 7) // 8
     step = max(1, _SLAB // row)
     planes = min(p.k, p.v - p.k).bit_length()
     step_bytes = min(n, step) * ((n + 63) // 64) * 8
-    need = n * row + n * (8 + p.v + p.v) + step_bytes * (planes + 4)
+    need = n * row + n * (8 + p.v + p.v) + step_bytes * (planes + 2)
     if need > (memory := _physical_memory()):
         raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")
     masks, member, elems, outside = _family(p.v, p.k)
     side, target = (elems, p.i) if p.k <= p.v - p.k else (outside, p.k - p.i)
-    g = ExplicitGraph(p, n, np.empty((n, row), dtype=np.uint8), masks)
-    pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
-    for r0 in range(0, n, step):
-        hit = _overlap_is(member, side[r0 : r0 + step], target)
-        packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order
-        packed[:, row - 1] &= pad
-        packed[:, row:] = 0
-        if p.i == p.k:  # self-intersection is k; the graph stays loop-free
-            u = np.arange(r0, r0 + hit.shape[0])
-            packed[u - r0, u >> 3] &= ~(np.uint8(0x80) >> (u & 7).astype(np.uint8))
-        deg = np.bitwise_count(hit).sum(axis=1)
-        if not np.all(deg == g.degree):
-            raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
-        g.adj[r0 : r0 + step] = packed[:, :row]
+    g = ExplicitGraph(p, n, np.zeros((n, row), dtype=np.uint8), masks)
+    if p.i < p.k and target <= side.shape[1]:
+        pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
+        for r0 in range(0, n, step):
+            hit = _overlap_is(member, side[r0 : r0 + step], target)
+            packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order
+            packed[:, row - 1] &= pad
+            packed[:, row:] = 0
+            deg = np.bitwise_count(hit).sum(axis=1)
+            if not np.all(deg == g.degree):
+                raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")
+            g.adj[r0 : r0 + step] = packed[:, :row]
+            del hit, packed, deg  # dead now: free them before the next step counts
     g.adj.flags.writeable = False
     return g
 
@@ -364,7 +362,7 @@ def oracle_odd_girth(g: ExplicitGraph) -> int | None:
 
 
 def oracle_diameter(g: ExplicitGraph) -> int | float:
-    """Agreed eccentricity of the sources; math.inf when disconnected."""
+    """Largest distance of the agreed profile; math.inf when disconnected."""
     return report_from_graph(g).diameter
 
 
@@ -415,10 +413,10 @@ def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 
 def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None) -> OracleReport:
-    """Every measurement on a built graph, each agreed between the given
-    searches, one per source; by default those of the canonical vertex and
-    _CROSS_CHECKS seeded extras.  Vertex transitivity says they must agree:
-    AssertionError names the first measurement that does not."""
+    """Profile, girth and odd girth agreed between the given searches, one
+    per source (by default the canonical vertex and _CROSS_CHECKS seeded
+    extras), and the diameter read from that profile.  Vertex transitivity
+    says they must agree: AssertionError names the first that does not."""
     p = g.params
     if searches is None:
         searches = [search(g, s) for s in _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
@@ -429,12 +427,11 @@ def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None
         return values[0]
 
     profile = agreed("distance profile", [distance_profile(g, s) for s in searches])
-    ecc = [INFINITE if (s.dist < 0).any() else int(s.dist.max()) for s in searches]
     return OracleReport(
         params=p,
         girth=agreed("girth", [s.girth for s in searches]),
         odd_girth=agreed("odd girth", [s.odd_girth for s in searches]),
-        diameter=agreed("eccentricity", ecc),
+        diameter=max(profile.values()),
         distance_profile=profile,
         connected=INFINITE not in profile.values(),
     )

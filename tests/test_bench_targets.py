@@ -1,11 +1,11 @@
-"""Every function the benchmark traces or patches by name exists in gjg.
+"""Every gjg name the benchmark traces, patches or reads exists in gjg.
 
 The perfbench harness wraps ``module.attr`` targets from outside the
-package, and its tests patch more names to sabotage a run; renaming or
-deleting one breaks only the slow perfbench runs, so the names are
-checked here.  The harness package is loaded from its path under a
-private name, and its tests are read as source, with nothing under
-perfbench/ changed.
+package, its workloads import and read more names, and its tests patch
+more to sabotage a run; renaming or deleting one breaks only the slow
+perfbench runs, so the names are checked here.  The harness package is
+loaded from its path under a private name, and its workloads and tests
+are read as source, with nothing under perfbench/ changed.
 """
 
 import ast
@@ -61,3 +61,48 @@ def test_every_patched_name_is_a_gjg_callable():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def _module_reads():
+    """(module, name) of every name a workload imports from gjg and every
+    ``<gjg module>.<attr>`` it reads, over perfbench/gjgbench/*.py."""
+    found = []
+    for path in sorted(GJGBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> the gjg module it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gjg":
+                for alias in node.names:
+                    found.append((node.module, alias.name))
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "gjg":
+                        bound[alias.asname or "gjg"] = alias.name if alias.asname else "gjg"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                head, *rest = ast.unparse(node.value).split(".")
+                if head in bound:
+                    module = ".".join([bound[head], *rest])
+                    if _is_module(module):
+                        found.append((module, node.attr))
+    return found
+
+
+def _is_module(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:
+        return False
+
+
+def _resolves(module, name):
+    return hasattr(importlib.import_module(module), name) or _is_module(f"{module}.{name}")
+
+
+def test_every_name_a_workload_reads_exists_in_gjg():
+    reads = set(_module_reads())
+    assert {("gjg.sweep", "SweepConfig"), ("gjg.oracle", "build_graph"),
+            ("gjg.graphio", "export_graph"), ("gjg.errors", "DegenerateClass"),
+            ("gjg", "sweep"), ("gjg.cli", "main")} <= reads
+    assert sorted(f"{module}.{name}" for module, name in reads if not _resolves(module, name)) == []

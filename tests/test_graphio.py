@@ -238,6 +238,13 @@ class TestExportGraph:
         with pytest.raises(ValueError, match=f"^unknown format {fmt!r}; "):
             export_graph(g, fmt)
 
+    # A format is one of two exact names; no case folding or trimming.
+    @pytest.mark.parametrize("fmt", ["DIMACS", "Edgelist", "dimacs "])
+    def test_format_names_are_exact(self, fmt):
+        g = build_graph(P(5, 2, 0))
+        with pytest.raises(ValueError, match=f"^unknown format {fmt!r}; "):
+            export_graph(g, fmt)
+
     @pytest.mark.parametrize("prefix", [b"", b"e "])
     @pytest.mark.parametrize("offset", [0, 1])
     @pytest.mark.parametrize("n", [9, 10, 11, 100, 1001])

@@ -93,7 +93,7 @@ class TestBuildGraph:
             (64, 1, 0),  # masks reach bit 63
             (64, 2, 1),
             (64, 63, 62),  # a one-element complement side
-            (64, 63, 63),  # target 0 on that side, diagonal cleared
+            (64, 63, 63),  # i = k: no row is counted
         ]:
             p = P(*t)
             g = build_graph(p)
@@ -103,6 +103,25 @@ class TestBuildGraph:
                 if p.i == p.k:
                     hit[np.arange(hit.shape[0]), np.arange(u0, u0 + hit.shape[0])] = False
                 assert np.array_equal(g.adj[u0 : u0 + 256], np.packbits(hit, axis=1)), (t, u0)
+
+    def test_rows_without_a_partner_are_not_counted(self, monkeypatch):
+        # i = k (J(4,2,2), J(64,63,63)) and a target beyond the side's size
+        # (J(15,10,3), and J(5,5,2), whose side is empty) leave zero rows
+        # that are decided before counting; J(5,2,0) shows the count is seen.
+        calls = Counter()
+
+        def counted(member, elems, i):
+            calls[elems.shape[1], i] += 1
+            return real(member, elems, i)
+
+        real = gjg.oracle._overlap_is
+        monkeypatch.setattr(gjg.oracle, "_overlap_is", counted)
+        for t in [(4, 2, 2), (64, 63, 63), (15, 10, 3), (5, 5, 2)]:
+            g = build_graph(P(*t))
+            assert not g.adj.any() and g.degree == 0, t
+        assert calls == Counter()
+        build_graph(P(5, 2, 0))
+        assert calls == Counter({(2, 0): 1})
 
     def test_memory_is_a_small_multiple_of_the_graph(self):
         # J(15,8,4) counts over the 7 elements outside each vertex.
@@ -278,29 +297,36 @@ class TestEdgeBlocks:
         assert len(blocks) == math.ceil(g.n / (_SLAB // g.degree))
 
 
+def _reference_adjacency(p):
+    """Adjacency lists of J(v,k,i) in pure Python, straight from the
+    definition |A ∩ B| = i."""
+    sets = [set(s) for s in sorted(combinations(range(p.v), p.k), key=lambda s: rank(p, s))]
+    return [[w for w in range(len(sets)) if w != u and len(sets[u] & sets[w]) == p.i]
+            for u in range(len(sets))]
+
+
+def _bfs(start, step):
+    """Distances and BFS-tree parents of the nodes reachable from start."""
+    dist, parent = {start: 0}, {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in step(x):
+            if y not in dist:
+                dist[y], parent[y] = dist[x] + 1, x
+                queue.append(y)
+    return dist, parent
+
+
 def _reference(p):
     """Adjacency lists, all-pairs BFS distances, girth and odd girth of
     J(v,k,i) in pure Python, straight from the definition |A ∩ B| = i."""
-    sets = [set(s) for s in sorted(combinations(range(p.v), p.k), key=lambda s: rank(p, s))]
-    n = len(sets)
-    adj = [[w for w in range(n) if w != u and len(sets[u] & sets[w]) == p.i]
-           for u in range(n)]
-
-    def bfs(start, step):
-        dist, parent = {start: 0}, {start: None}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in step(x):
-                if y not in dist:
-                    dist[y], parent[y] = dist[x] + 1, x
-                    queue.append(y)
-        return dist, parent
-
+    adj = _reference_adjacency(p)
+    n = len(adj)
     dists = []
     girth = odd_girth = None
     for s in range(n):
-        d, parent = bfs(s, lambda u: adj[u])
+        d, parent = _bfs(s, lambda u: adj[u])
         dists.append([d.get(u, -1) for u in range(n)])
         # A non-tree edge closes a cycle of length at most d[u] + d[w] + 1,
         # with equality from a root on a shortest cycle.
@@ -308,7 +334,7 @@ def _reference(p):
             for w in adj[u]:
                 if parent[u] != w and parent[w] != u:
                     girth = min(girth or n + 1, d[u] + d[w] + 1)
-        cover, _ = bfs((s, 0), lambda node: [(w, 1 - node[1]) for w in adj[node[0]]])
+        cover, _ = _bfs((s, 0), lambda node: [(w, 1 - node[1]) for w in adj[node[0]]])
         if (s, 1) in cover:
             odd_girth = min(odd_girth or n + 1, cover[(s, 1)])
     return adj, dists, girth, odd_girth
@@ -472,6 +498,17 @@ class TestMeasurements:
             g = build_graph(p)
             # n <= C(9,4) = 126, so every source is searched.
             _assert_searches_match(g, [g.neighbors(u).tolist() for u in range(g.n)], t)
+
+    def test_diameter_is_the_reference_eccentricity(self):
+        # Every triple with v <= 9, n = 1, edgeless graphs and matchings
+        # among them: the diameter read from the agreed profile is the
+        # largest BFS distance of the pure-Python reference.
+        for t in [(v, k, i) for v in range(10) for k in range(v + 1) for i in range(k + 1)]:
+            p = P(*t)
+            adj = _reference_adjacency(p)
+            reached = [_bfs(s, adj.__getitem__)[0] for s in range(len(adj))]
+            ecc = max(INFINITE if len(d) < len(adj) else max(d.values()) for d in reached)
+            assert oracle_diameter(build_graph(p)) == ecc, t
 
     @pytest.mark.parametrize("measure", [search, bfs_distances])
     def test_search_rejects_a_source_outside_the_graph(self, measure):

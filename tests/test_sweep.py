@@ -197,13 +197,16 @@ class TestCheckTriple:
 
 class TestCheckPairing:
     # J(8,4,0) pairs rank r with 69 - r: row 0's partner is bit 5 of byte 8.
-    def _failures(self, edits):
-        g = build_graph(make_parameters(8, 4, 0))
+    NOT_COMPLEMENT = ["matching: a vertex's only neighbor is not its complement"]
+
+    def _failures(self, edits, t=(8, 4, 0)):
+        g = build_graph(make_parameters(*t))
         g = dataclasses.replace(g, adj=g.adj.copy())
         for (row, col), byte in edits.items():
             g.adj[row, col] = byte
-        res = TripleResult(8, 4, 0, g.n, "matching")
+        res = TripleResult(*t, g.n, "matching")
         _check_pairing(res, g)
+        assert res.checks == {"matching": 1}
         return res.failures
 
     def test_matching_passes(self):
@@ -215,12 +218,18 @@ class TestCheckPairing:
         (8, 0x0C),  # a second neighbor in the same byte
     ])
     def test_not_one_regular(self, col, byte):
-        assert self._failures({(0, col): byte}) == ["matching: not 1-regular"]
+        assert self._failures({(0, col): byte}) == self.NOT_COMPLEMENT
 
     def test_not_an_involution(self):
         # 0 -> 1 while 1 -> 68 still
         edits = {(0, 8): 0x00, (0, 0): 0x40}
-        assert self._failures(edits) == ["matching: pairing is not an involution"]
+        assert self._failures(edits) == self.NOT_COMPLEMENT
+
+    def test_involution_that_is_not_the_complement(self):
+        # J(6,3,0) pairs r with 19 - r; 0 <-> 18 and 1 <-> 19 is a perfect
+        # matching and an involution, but not the complement pairing.
+        edits = {(0, 2): 0x20, (18, 0): 0x80, (1, 2): 0x10, (19, 0): 0x40}
+        assert self._failures(edits, (6, 3, 0)) == self.NOT_COMPLEMENT
 
 
 class TestCheckComplements:
