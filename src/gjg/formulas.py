@@ -1,8 +1,12 @@
 """Closed-form invariants of J(v,k,i): girth, odd girth, distance, diameter.
 
-All operations take a normalized triple (v >= 2k); invariant_report accepts
-anything and routes v < 2k through the complement isomorphism.  Infinite
-distances are math.inf, undefined cycle lengths are None.
+Every closed form is total over accepted triples.  The paper states them
+for v >= 2k, but distance, odd girth, common neighbors and max route read
+only delta = v - 2k + 2i, k - x, x - i and k - i, which complementation
+(v,k,i,x) -> (v, v-k, v-2k+i, x-(2k-v)) leaves unchanged, so they hold
+verbatim for v < 2k.  Only girth and diameter read normalize(p): the
+(2k+1,k,0) exception, i = 0, 3k - 2i and k/(k-i) are not invariant.
+Infinite distances are math.inf, undefined cycle lengths are None.
 """
 
 from __future__ import annotations
@@ -31,11 +35,6 @@ def ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
-def _require_normalized(p: Parameters) -> None:
-    if not p.is_normalized:
-        raise Unsupported(f"{p} is not normalized (v < 2k); call normalize() first")
-
-
 def has_common_neighbor(p: Parameters, x: int) -> bool:
     """Whether two vertices with intersection x share a neighbor.
 
@@ -43,7 +42,6 @@ def has_common_neighbor(p: Parameters, x: int) -> bool:
     """
     if p.is_degenerate:
         raise DegenerateClass(f"{p} has no edges")
-    _require_normalized(p)
     return intersection_size(p, x) >= max(p.k - delta(p), 2 * p.i - p.k)
 
 
@@ -51,12 +49,12 @@ def girth(p: Parameters) -> int | None:
     """Length of the shortest cycle; None when the graph is acyclic or empty.
 
     3 when v >= 3(k-i); otherwise 4, except that (5,2,0) has girth 5 and
-    the remaining (2k+1,k,0) triples have girth 6.
+    the remaining (2k+1,k,0) triples have girth 6, read on normalize(p).
     """
     if p.graph_class in (GraphClass.MATCHING, GraphClass.EDGELESS, GraphClass.EMPTY_VERTEX_SET):
         return None
-    _require_normalized(p)
-    v, k, i = p.v, p.k, p.i
+    q = normalize(p)
+    v, k, i = q.v, q.k, q.i
     if v >= 3 * (k - i):
         return 3
     if (v, k, i) != (2 * k + 1, k, 0):
@@ -73,7 +71,6 @@ def odd_girth(p: Parameters) -> int | None:
     """
     if p.graph_class in (GraphClass.MATCHING, GraphClass.EDGELESS, GraphClass.EMPTY_VERTEX_SET):
         return None
-    _require_normalized(p)
     return 2 * ceil_div(p.k - p.i, delta(p)) + 1
 
 
@@ -91,7 +88,6 @@ def distance_by_intersection(p: Parameters, x: int):
         if x == p.k:
             return 0
         return 1 if x == 0 else INFINITE
-    _require_normalized(p)
     k, i, d = p.k, p.i, delta(p)
     if x < min(i, k - d):
         return 3
@@ -101,14 +97,15 @@ def distance_by_intersection(p: Parameters, x: int):
 
 
 def diameter(p: Parameters):
-    """Largest distance between two vertices; math.inf when disconnected."""
+    """Largest distance between two vertices; math.inf when disconnected.
+    Its cases are read on normalize(p)."""
     if p.is_degenerate:
         raise DegenerateClass(f"{p} has no diameter")
     if p.graph_class is GraphClass.MATCHING:
         # C(2k,k)/2 disjoint edges; a single edge (k = 1) is connected.
         return 1 if p.k == 1 else INFINITE
-    _require_normalized(p)
-    v, k, i = p.v, p.k, p.i
+    q = normalize(p)
+    v, k, i = q.v, q.k, q.i
     if v < 3 * (k - i) - 1 or i == 0:
         return ceil_div(k - i - 1, delta(p)) + 1
     if v < 3 * k - 2 * i:
@@ -125,7 +122,6 @@ def max_route_distance(p: Parameters) -> int:
     """
     if p.is_degenerate or p.graph_class is GraphClass.MATCHING:
         raise DegenerateClass(f"{p} has no route-distance function")
-    _require_normalized(p)
     if p.k == p.i + 1:
         raise Unsupported("defined only for k > i + 1")
     return ceil_div(p.k - p.i - 1, delta(p)) + 1
@@ -150,19 +146,11 @@ def _degenerate_report(p: Parameters) -> InvariantReport:
 
 
 def invariant_report(p: Parameters) -> InvariantReport:
-    """All invariants of J(v,k,i), total over every accepted triple.
-
-    For v < 2k the values are computed on the normalized triple and the
-    profile shifted back by intersection_range(p).start (see normalize).
-    """
+    """All invariants of J(v,k,i), total over every accepted triple."""
     if p.is_degenerate:
         return _degenerate_report(p)
-    q = normalize(p)
-    shift = intersection_range(p).start
-    profile = {
-        x + shift: distance_by_intersection(q, x) for x in intersection_range(q)
-    }
-    return InvariantReport(p, girth(q), odd_girth(q), diameter(q), profile)
+    profile = {x: distance_by_intersection(p, x) for x in intersection_range(p)}
+    return InvariantReport(p, girth(p), odd_girth(p), diameter(p), profile)
 
 
 def report_for(v: int, k: int, i: int) -> InvariantReport:

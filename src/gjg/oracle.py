@@ -375,8 +375,11 @@ def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
 def distance_profile(g: ExplicitGraph, found: Search) -> dict[int, int | float]:
     """{x: BFS distance from the search's source to the vertices meeting it
     in x elements}, math.inf where unreachable; raises AssertionError
-    unless every vertex with the same x is at the same distance."""
+    unless every vertex with the same x is at the same distance, and
+    ValueError for a search of a graph with another vertex count."""
     p, dist, source = g.params, found.dist, found.source
+    if dist.shape != (g.n,):
+        raise ValueError(f"{p} has {g.n} vertices; the search from {source} measured {dist.size}")
     overlap = intersection_with(g, source)
     at = np.empty(p.k + 1, dtype=dist.dtype)
     at[overlap] = dist  # some vertex's distance per x, which all must share
@@ -416,10 +419,13 @@ def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None
     """Profile, girth and odd girth agreed between the given searches, one
     per source (by default the canonical vertex and _CROSS_CHECKS seeded
     extras), and the diameter read from that profile.  Vertex transitivity
-    says they must agree: AssertionError names the first that does not."""
+    says they must agree: AssertionError names the first that does not.
+    An empty list of searches raises ValueError."""
     p = g.params
     if searches is None:
         searches = [search(g, s) for s in _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
+    if not searches:
+        raise ValueError(f"{p}: no searches to agree on")
 
     def agreed(what, values):
         if any(val != values[0] for val in values):

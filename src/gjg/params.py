@@ -3,9 +3,9 @@
 J(v,k,i) has the k-subsets of {0,...,v-1} as vertices, two subsets being
 adjacent exactly when their intersection has size i.  The constructor
 accepts any triple with v >= k >= i >= 0 and classifies it.  The closed
-forms require the normalized form v >= 2k, reachable through
-:func:`normalize` (complementing every vertex set); the witness
-constructions and invariant_report call it themselves.  A vertex is
+forms are total over accepted triples; only girth, diameter and the
+witness constructions read the normal form v >= 2k that :func:`normalize`
+reaches by complementing every vertex set.  A vertex is
 what :func:`vertex` accepts, an intersection size what
 :func:`intersection_size` accepts, a rank what :func:`rank_index` accepts;
 every entry point that takes one asks it.
@@ -91,7 +91,8 @@ def make_parameters(v: int, k: int, i: int) -> Parameters:
 
 
 def delta(p: Parameters) -> int:
-    """The quantity v - 2k + 2i; positive for every normalized non-matching triple."""
+    """The quantity v - 2k + 2i, the same for a triple and its normal form;
+    positive for every non-degenerate non-matching triple."""
     return p.v - 2 * p.k + 2 * p.i
 
 

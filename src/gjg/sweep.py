@@ -202,11 +202,10 @@ def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
 
 
 def _check_max_route(res: TripleResult, p: Parameters) -> None:
-    q = normalize(p)
-    if q.k - q.i < 2:
+    if p.k - p.i < 2:
         return
-    exhaustive = max(formulas.distance_by_intersection(q, x) for x in range(q.i + 1, q.k + 1))
-    closed = formulas.max_route_distance(q)
+    exhaustive = max(formulas.distance_by_intersection(p, x) for x in range(p.i + 1, p.k + 1))
+    closed = formulas.max_route_distance(p)
     _check(res, "max_route", exhaustive == closed, f"exhaustive {exhaustive} != closed form {closed}")
 
 
@@ -260,7 +259,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
         x: math.comb(p.k, x) * math.comb(p.v - p.k, p.k - x)
         for x in intersection_range(p)
     }
-    thin = [s for x, s in class_sizes.items() if x != p.k and 0 < s]
+    thin = [s for x, s in class_sizes.items() if x != p.k]
     many = n <= SMALL_GRAPH_FULL_CHECK or (thin and min(thin) * 3 < MIN_PAIR_SAMPLES)
     want_sources = min(n, MIN_PAIR_SAMPLES) if many else 4
     searches = [oracle.search(g, s) for s in oracle._sources(p.v, p.k, p.i, n, want_sources)]
@@ -302,10 +301,9 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     # Distance-2 criterion: beyond adjacency, two vertices are at distance
     # exactly 2 iff they have a common neighbor.
     if not p.is_degenerate:
-        q, shift = normalize(p), intersection_range(p).start
         for x, dval in profile.items():
             if dval != 0 and dval != 1:
-                _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(q, x - shift),
+                _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
                        f"x={x}: distance {dval} contradicts predicate")
 
     if p.graph_class is GraphClass.MATCHING:

@@ -11,11 +11,12 @@ that a pair of vertices A, B cuts the ground set into: A - B, A ∩ B,
 B - A and the outside of A ∪ B.  :func:`_split` is the one place that
 computes them.
 
-Constructions accept every non-degenerate triple: one with v < 2k is
-built on its normal form J(v, v-k, v-2k+i) and complemented back, since
-complementing every vertex set preserves adjacency.  Degenerate triples
-raise DegenerateClass from :func:`gjg.params.normalize`, and an end point
-that :func:`gjg.params.vertex` rejects raises InvalidSet; end points are
+Constructions accept every non-degenerate triple through :func:`_lift`:
+one with v < 2k is built on its normal form J(v, v-k, v-2k+i) and
+complemented back, since complementing every vertex set preserves
+adjacency.  Degenerate triples raise DegenerateClass from
+:func:`gjg.params.normalize`, and an end point that
+:func:`gjg.params.vertex` rejects raises InvalidSet; end points are
 never sorted for the caller.
 """
 
@@ -52,6 +53,18 @@ def _ground_complement(p: Parameters, s: Sequence[int]) -> list[int]:
     return [e for e in range(p.v) if e not in used]
 
 
+def _lift(p: Parameters, build, *ends: Sequence[int]):
+    """build(q, *ends) on the normal form q of p, every end checked by
+    :func:`gjg.params.vertex` in p.  For v < 2k the ends are complemented
+    into q and the result, a vertex set or a Walk, back out of it."""
+    q = normalize(p)
+    ends = [vertex(p, e) for e in ends]
+    if q is p:
+        return build(p, *ends)
+    out = build(q, *(tuple(_ground_complement(p, e)) for e in ends))
+    return complement_walk(p, out) if isinstance(out, Walk) else tuple(_ground_complement(p, out))
+
+
 def _split(p: Parameters, A: Sequence[int], B: Sequence[int]) -> tuple[list[int], ...]:
     """(A - B, A ∩ B, B - A, outside A ∪ B), each ascending."""
     sa, sb = set(A), set(B)
@@ -65,13 +78,14 @@ def verify_walk(p: Parameters, w: Walk) -> bool:
     the walk False), and consecutive vertices must intersect in exactly i
     elements; paths have distinct vertices; cycles are closed with
     distinct interior and at least 3 edges; closed walks are merely
-    closed.  The claimed length must equal the number of edges traversed.
+    closed.  The kind must be a WalkKind, and the claimed length an int
+    (bools are not) equal to the number of edges traversed.
     """
     try:
         vs = [vertex(p, s) for s in w.vertices]
     except (InvalidSet, TypeError):  # TypeError: vertices is not a sequence
         return False
-    if not vs or w.claimed_length != len(vs) - 1:
+    if not vs or type(w.claimed_length) is not int or w.claimed_length != len(vs) - 1:
         return False
     sets = [set(s) for s in vs]
     if any(len(m & n) != p.i for m, n in zip(sets, sets[1:])):
@@ -81,7 +95,7 @@ def verify_walk(p: Parameters, w: Walk) -> bool:
     if w.kind is WalkKind.CYCLE:
         interior = vs[:-1]
         return vs[0] == vs[-1] and len(vs) >= 4 and len(set(interior)) == len(interior)
-    return vs[0] == vs[-1]  # closed walk
+    return w.kind is WalkKind.CLOSED_WALK and vs[0] == vs[-1]
 
 
 def common_neighbor(p: Parameters, a: Sequence[int], b: Sequence[int]) -> VertexSet:
@@ -91,12 +105,7 @@ def common_neighbor(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Vertex
     private side, and fills up from outside a ∪ b; any s in the feasible
     interval would do, the lower endpoint is the fixed choice.
     """
-    q = normalize(p)
-    A, B = vertex(p, a), vertex(p, b)
-    if q is not p:
-        c = _common_neighbor(q, _ground_complement(p, A), _ground_complement(p, B))
-        return tuple(_ground_complement(p, c))
-    return _common_neighbor(p, A, B)
+    return _lift(p, _common_neighbor, a, b)
 
 
 def _common_neighbor(p: Parameters, A: Sequence[int], B: Sequence[int]) -> VertexSet:
@@ -155,10 +164,11 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     swapped start; below i a chain of (k-i)-element exchanges, or a
     single detour vertex when the distance is 3.
     """
-    q = normalize(p)
-    A, B = vertex(p, a), vertex(p, b)
-    if q is not p:
-        return complement_walk(p, geodesic(q, _ground_complement(p, A), _ground_complement(p, B)))
+    return _lift(p, _geodesic, a, b)
+
+
+def _geodesic(p: Parameters, A: VertexSet, B: VertexSet) -> Walk:
+    # geodesic on a normalized triple, for vertex sets.
     x = len(set(A) & set(B))
     k, i, d = p.k, p.i, delta(p)
 
@@ -213,10 +223,7 @@ def _six_cycle(p: Parameters) -> list[VertexSet]:
 
 def shortest_cycle(p: Parameters) -> Walk:
     """A cycle of length girth(p), closed vertex repeated at the end."""
-    q = normalize(p)
-    if q is not p:
-        return complement_walk(p, shortest_cycle(q))
-    w = _shortest_cycle(p)
+    w = _lift(p, _shortest_cycle)
     if not verify_walk(p, w):
         raise AssertionError(f"shortest_cycle built an invalid cycle for {p}")
     return w
@@ -261,10 +268,7 @@ def odd_closed_walk(p: Parameters) -> Walk:
     Girth-4 graphs pick a third vertex equidistant from both ends of an
     edge at distance r = ceil((k-i)/delta) and glue the two geodesics.
     """
-    q = normalize(p)
-    if q is not p:
-        return complement_walk(p, odd_closed_walk(q))
-    walk = _odd_closed_walk(p)
+    walk = _lift(p, _odd_closed_walk)
     if not verify_walk(p, walk):
         raise AssertionError(f"odd_closed_walk built an invalid walk for {p}")
     return walk

@@ -281,12 +281,20 @@ def test_report_totality_and_basic_shape(args):
     assert all(isinstance(d, int) and d >= 0 for d in dists)
 
 
-def test_normalized_precondition_enforced():
-    p = P(7, 4, 2)  # valid but not normalized
-    for call in (girth, odd_girth, diameter, max_route_distance,
-                 lambda q: distance_by_intersection(q, 2),
-                 lambda q: has_common_neighbor(q, 2)):
-        with pytest.raises(Unsupported, match="not normalized"):
-            call(p)
-    # the report handles it through the complement isomorphism
-    assert invariant_report(p).girth == girth(normalize(p))
+def test_closed_forms_are_total_over_lifted_triples():
+    # The closed forms read p itself for v < 2k.  On every non-degenerate
+    # such triple up to v = 40 each equals its value on the normal form,
+    # a pair meeting in x in p meeting in x - intersection_range(p).start.
+    lifted = [
+        p for v in range(2, 41) for k in range(v // 2 + 1, v + 1) for i in range(k + 1)
+        if not (p := P(v, k, i)).is_degenerate
+    ]
+    assert len(lifted) == 2660
+    for p in lifted:
+        q, shift = normalize(p), intersection_range(p).start
+        assert (girth(p), odd_girth(p), diameter(p)) == (girth(q), odd_girth(q), diameter(q)), p
+        if p.k - p.i > 1:
+            assert max_route_distance(p) == max_route_distance(q), p
+        for x in intersection_range(p):
+            assert distance_by_intersection(p, x) == distance_by_intersection(q, x - shift), (p, x)
+            assert has_common_neighbor(p, x) == has_common_neighbor(q, x - shift), (p, x)

@@ -573,6 +573,16 @@ class TestMeasurements:
         with pytest.raises(AssertionError, match="per-source girth disagrees"):
             report_from_graph(g, given)
 
+    def test_report_rejects_no_searches(self):
+        with pytest.raises(ValueError, match=r"J\(9,4,1\): no searches to agree on"):
+            report_from_graph(build_graph(P(9, 4, 1)), [])
+
+    def test_report_rejects_a_search_of_another_vertex_count(self):
+        g, other = build_graph(P(9, 4, 1)), build_graph(P(8, 3, 1))
+        given = [search(g, 0), search(other, 5)]
+        with pytest.raises(ValueError, match=r"J\(9,4,1\) has 126 vertices; the search from 5 measured 56"):
+            report_from_graph(g, given)
+
 
 def test_sources_are_a_pure_function_of_the_triple():
     # Ranks drawn by the seeded generator; sweep tallies depend on them.

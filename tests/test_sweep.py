@@ -114,6 +114,22 @@ class TestCheckTriple:
         r = check_triple(6, 2, 0)
         assert not r.passed
 
+    def test_detects_a_wrong_distance_read_on_a_lifted_triple(self, monkeypatch):
+        # The formula side of J(7,4,2) is read on (7,4,2) itself, not on its
+        # normal form J(7,3,1): a distance skewed only there at x = 1 fails.
+        import gjg.formulas
+
+        real = gjg.formulas.distance_by_intersection
+
+        def skewed(p, x):
+            d = real(p, x)
+            return d + 1 if (p.v, p.k, p.i, x) == (7, 4, 2, 1) else d
+
+        monkeypatch.setattr(gjg.formulas, "distance_by_intersection", skewed)
+        r = check_triple(7, 4, 2)
+        assert "distance_profile: formula {1: 3, 2: 1, 3: 2, 4: 0}, oracle {1: 2, 2: 1, 3: 2, 4: 0}" \
+            in r.failures, r.failures
+
     @pytest.mark.parametrize("triple, sources", [((9, 4, 1), 10), ((12, 5, 2), 4)])
     def test_measures_each_source_profile_once(self, monkeypatch, triple, sources):
         # The sweep searches each of its sources once and report_from_graph

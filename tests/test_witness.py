@@ -76,6 +76,21 @@ class TestVerifyWalk:
         for w in [Walk((vertex, (2, 3)), WalkKind.PATH, 1), Walk(((2, 3), vertex), WalkKind.PATH, 1)]:
             assert verify_walk(p, w) is False
 
+    @pytest.mark.parametrize("kind", ["cycle", "closed_walk", None, 2])
+    def test_kind_must_be_a_walk_kind(self, kind):
+        # A closed walk that passes as WalkKind.CLOSED_WALK fails under any
+        # other spelling of its kind.
+        p = P(5, 2, 0)
+        w = Walk(((0, 1), (2, 3), (0, 1)), WalkKind.CLOSED_WALK, 2)
+        assert verify_walk(p, w) is True
+        assert verify_walk(p, Walk(w.vertices, kind, 2)) is False
+
+    @pytest.mark.parametrize("length", [1.0, True, "1", None])
+    def test_claimed_length_must_be_an_int(self, length):
+        p = P(5, 2, 0)
+        assert verify_walk(p, Walk(((0, 1), (2, 3)), WalkKind.PATH, 1)) is True
+        assert verify_walk(p, Walk(((0, 1), (2, 3)), WalkKind.PATH, length)) is False
+
 
 class TestCommonNeighbor:
     def test_disjoint_sets_large_ground(self):
@@ -236,7 +251,8 @@ class TestOddClosedWalk:
 def test_each_construction_verifies_its_walk_once(monkeypatch, construct, triple):
     # Girth 3 builds its odd walk from the triangle, (5,2,0) its 5-cycle from
     # the odd walk, and (7,4,2) lifts its normal form's walk: the one built
-    # inside the other is not verified again.
+    # inside the other is not verified again, and a lifted walk is verified
+    # in J(v,k,i) itself.
     calls = []
     real = gjg.witness.verify_walk
 
@@ -246,7 +262,7 @@ def test_each_construction_verifies_its_walk_once(monkeypatch, construct, triple
 
     monkeypatch.setattr(gjg.witness, "verify_walk", counted)
     construct(P(*triple))
-    assert len(calls) == 1
+    assert calls == [P(*triple)]
 
 
 # Every non-degenerate triple of the desk sweep with v < 2k.
