@@ -1,8 +1,9 @@
 """Command-line front end: invariants, distances, witnesses, verification, export.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 configuration
-problem or an empty verification sweep.  Output is byte-identical across
-runs for fixed arguments.
+problem, an empty verification sweep or, from the console script, a
+closed stdout.  Output is byte-identical across runs for fixed arguments.
+Only export and verify load the oracle and numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import os
 import sys
 
-from . import graphio, oracle, witness
+from . import graphio, witness
 from .errors import GJGError
 from .formulas import invariant_report
 from .params import Parameters, delta, make_parameters, vertex
@@ -63,6 +64,10 @@ def _add_pair(sub: argparse.ArgumentParser) -> None:
 
 
 def _budget(args) -> int:
+    # Like the sweep in cmd_verify, the oracle (and numpy with it) loads
+    # only in the commands that build a graph.
+    from . import oracle
+
     budget, env = args.max_vertices, os.environ.get("GJG_MAX_VERTICES")
     if budget is None and env is not None:
         try:
@@ -144,6 +149,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import oracle
+
     p = make_parameters(args.v, args.k, args.i)
     g = oracle.build_graph(p, _budget(args))
     payload = graphio.export_graph(g, args.format)
@@ -154,7 +161,11 @@ def cmd_export(args) -> int:
         except OSError as exc:
             raise _ConfigError(f"cannot write {args.out}: {exc.strerror}")
     else:
-        sys.stdout.buffer.write(payload)
+        # An unbuffered stdout (python -u) is raw: one write may take only
+        # part of a large payload, and the next write reports why.
+        out, rest = sys.stdout.buffer, memoryview(payload)
+        while rest:
+            rest = rest[out.write(rest):]
     return EXIT_OK
 
 
@@ -257,7 +268,18 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The ``gjg`` console script: run main() on sys.argv and exit with its
+    code.  Output cut short by a closed pipe (``gjg verify | head -1``)
+    exits 3, like an unwritable --out, with no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe surfaces here, inside the try
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; pointing it at
+        # devnull keeps that flush from raising a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CONFIG
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,9 @@ Subsets are ranked in colexicographic order: sort each subset ascending as
 e_0 < ... < e_{k-1}; its rank is sum_j C(e_j, j+1).  Colex was chosen over
 lex because unranking needs no per-element binomial tables.  External
 consumers can reproduce ranks from this formula alone.
+
+Only graph export needs numpy, and it imports numpy when called, so
+ranking and report rendering load without it.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .params import Parameters, delta, rank_index, vertex
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .formulas import InvariantReport
     from .oracle import ExplicitGraph, OracleReport
 
@@ -56,6 +59,8 @@ def unrank(p: Parameters, r: int) -> tuple[int, ...]:
 def _undirected_edges(g: "ExplicitGraph") -> np.ndarray:
     """Every edge as one (m, 2) int32 array of (u, w) rows with u < w, in
     (u, w) order; iterating it gives the pairs."""
+    import numpy as np
+
     edges = np.empty((g.edge_count, 2), dtype=np.int32)
     m = 0
     for us, ws in g.edge_blocks():
@@ -69,6 +74,8 @@ def _label_table(n: int, offset: int, prefix: bytes) -> np.ndarray:
     """A (2, n, width) ASCII uint8 table: row r of half 0 spells prefix,
     the digits of r + offset and a space, of half 1 _PAD bytes, the same
     digits and a newline.  Digits are right-aligned behind leading _PADs."""
+    import numpy as np
+
     top = n - 1 + offset
     labels = np.arange(offset, top + 1)[:, None]
     scale = 10 ** np.arange(len(str(top)) - 1, -1, -1)
@@ -91,6 +98,8 @@ def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list
     gather (making no index copy of its own) spells the block's lines and
     one bytes.translate deletes the pads between them.
     """
+    import numpy as np
+
     table = _label_table(n, offset, prefix).reshape(2 * n, -1)
     pad = bytes([_PAD])
     chunks = []
@@ -112,6 +121,8 @@ def export_graph(g: "ExplicitGraph", format: str) -> bytes:
     """
     if format not in ("edgelist", "dimacs"):
         raise ValueError(f"unknown format {format!r}; expected 'edgelist' or 'dimacs'")
+    import numpy as np
+
     edges = np.asarray(_undirected_edges(g), dtype=np.int32).reshape(-1, 2)
     if format == "edgelist":
         return b"".join(_encode_edges(edges, g.n, 0, b""))

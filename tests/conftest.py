@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -18,6 +22,26 @@ def full_sweep():
     outcome = run_sweep(cfg)
     outcome.elapsed_seconds = time.monotonic() - start
     return outcome
+
+
+@pytest.fixture
+def src_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports gjg from this
+    checkout's src/."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def fresh(src_env):
+    """Run code in a fresh interpreter that imports gjg from this
+    checkout's src/; the fixture returns the words it prints."""
+    def run(code: str) -> list[str]:
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env, check=True, timeout=60)
+        return done.stdout.split()
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter):

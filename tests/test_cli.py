@@ -268,6 +268,28 @@ class TestExport:
         assert code == 3
         assert out == "" and "max_vertices must be positive" in err
 
+    def test_patched_build_graph_gets_the_default_budget(self, capsys, monkeypatch):
+        # export reads build_graph and the default budget from gjg.oracle
+        # when it runs, so a patch of either reaches it.
+        real, calls = gjg.oracle.build_graph, []
+
+        def spy(p, budget):
+            calls.append(((p.v, p.k, p.i), budget))
+            return real(p, budget)
+
+        _set_budget_env(monkeypatch, None)
+        monkeypatch.setattr(gjg.oracle, "build_graph", spy)
+        code, out, _ = run(capsys, "export", "--v", "5", "--k", "2", "--i", "0", "--format", "dimacs")
+        assert code == 0 and out.startswith("p edge 10 15\n")
+        assert calls == [((5, 2, 0), gjg.oracle.DEFAULT_VERTEX_BUDGET)]
+
+    def test_patched_default_budget_applies(self, capsys, monkeypatch):
+        _set_budget_env(monkeypatch, None)
+        monkeypatch.setattr(gjg.oracle, "DEFAULT_VERTEX_BUDGET", 3)
+        code, out, err = run(capsys, "export", "--v", "5", "--k", "2", "--i", "0", "--format", "edgelist")
+        assert (code, out) == (1, "")
+        assert "budget" in err
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -322,37 +344,93 @@ class TestVerify:
         assert serial == parallel
 
 
-def _fresh(code: str) -> list[str]:
-    """The words a fresh interpreter prints when it runs code."""
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    return done.stdout.split()
+def _console(*argv: str, env, **popen) -> subprocess.Popen:
+    """The gjg console script, run as ``python -m gjg.cli``."""
+    return subprocess.Popen([sys.executable, "-m", "gjg.cli", *argv], stderr=subprocess.PIPE,
+                            env=env, **popen)
 
 
-def _loaded_after(module: str, candidates: list[str]) -> list[str]:
-    """Which of candidates a fresh interpreter has loaded after importing module."""
-    return _fresh(f"import sys, {module}; print(*[m for m in {candidates!r} if m in sys.modules])")
+class TestClosedPipe:
+    # A reader that stops early (gjg ... | head -1) ends the command with
+    # exit 3 and no traceback, whether stdout is buffered or not;
+    # in-process main() callers never see this.
+    @pytest.fixture(params=["buffered", "unbuffered"])
+    def env(self, request, src_env):
+        src_env.pop("PYTHONUNBUFFERED", None)
+        if request.param == "unbuffered":
+            src_env["PYTHONUNBUFFERED"] = "1"
+        return src_env
+
+    def test_export_closed_after_one_line(self, env):
+        # 1.9 MB of edges, far more than a pipe holds, so a write fails.
+        with _console("export", "--v", "14", "--k", "4", "--i", "1", "--format", "edgelist",
+                      env=env, stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"0 31\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (3, b"")
+
+    def test_verify_into_a_closed_pipe(self, env):
+        r, w = os.pipe()
+        os.close(r)
+        with os.fdopen(w, "wb") as out, _console("verify", "--v-max", "4", env=env,
+                                                 stdout=out) as proc:
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (3, b"")
+
+
+def _loaded_after(fresh, setup: str, candidates: list[str]) -> list[str]:
+    """Which of candidates a fresh interpreter has loaded after running setup."""
+    return fresh(f"import sys\n{setup}\nprint(*[m for m in {candidates!r} if m in sys.modules])")
+
+
+def _main_quietly(*argv: str) -> str:
+    # A TextIOWrapper, unlike StringIO, has the .buffer export writes to.
+    return ("import contextlib, io\nfrom gjg.cli import main\n"
+            "with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):\n"
+            f"    assert main({list(argv)!r}) == 0")
 
 
 class TestStartup:
     # A single query pays for what it runs: only verify loads the sweep,
-    # and only a sweep with jobs > 1 loads the process pool.
-    def test_cli_import_leaves_out_sweep_and_pool(self):
-        assert _loaded_after("gjg.cli", ["gjg.sweep", "multiprocessing", "concurrent.futures.process"]) == []
+    # only a sweep with jobs > 1 loads the process pool, and only the
+    # commands that build a graph load the oracle and numpy.
+    @pytest.mark.parametrize("setup, loaded", [
+        pytest.param("import gjg", [], id="import-gjg"),
+        pytest.param("import gjg.cli", [], id="import-cli"),
+        pytest.param("import gjg.graphio", [], id="import-graphio"),
+        pytest.param(_main_quietly("invariants", "--v", "9", "--k", "4", "--i", "1"), [],
+                     id="invariants"),
+        pytest.param(_main_quietly("invariants", "--v", "9", "--k", "4", "--i", "1", "--emit", "structured"),
+                     [], id="invariants-structured"),
+        pytest.param(_main_quietly("distance", "--v", "10", "--k", "4", "--i", "2", "--x", "1", "--witness"),
+                     [], id="distance-witness"),
+        pytest.param(_main_quietly("witness", "--v", "7", "--k", "3", "--i", "1", "cycle"), [],
+                     id="witness-cycle"),
+        pytest.param(_main_quietly("witness", "--v", "7", "--k", "3", "--i", "0", "oddwalk"), [],
+                     id="witness-oddwalk"),
+        pytest.param(_main_quietly("export", "--v", "5", "--k", "2", "--i", "0", "--format", "dimacs"),
+                     ["numpy", "gjg.oracle"], id="export"),
+        pytest.param(_main_quietly("verify", "--v-max", "4"), ["numpy", "gjg.oracle"], id="verify"),
+    ])
+    def test_entry_point_loads_numpy_and_oracle_only_to_build(self, fresh, setup, loaded):
+        assert _loaded_after(fresh, setup, ["numpy", "gjg.oracle"]) == loaded
 
-    def test_sweep_import_leaves_out_pool(self):
-        assert _loaded_after("gjg.sweep", ["concurrent.futures.process"]) == []
+    def test_cli_import_leaves_out_sweep_and_pool(self, fresh):
+        assert _loaded_after(fresh, "import gjg.cli",
+                             ["gjg.sweep", "multiprocessing", "concurrent.futures.process"]) == []
 
-    def test_import_builds_no_parser_and_main_builds_one(self):
+    def test_sweep_import_leaves_out_pool(self, fresh):
+        assert _loaded_after(fresh, "import gjg.sweep", ["concurrent.futures.process"]) == []
+
+    def test_import_builds_no_parser_and_main_builds_one(self, fresh):
         # Importing gjg.cli builds nothing; the first main() builds the
         # parser and the second reuses it.
         code = ("import contextlib, io, gjg.cli as c; n = c._build_parser.cache_info; before = n().misses\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    for _ in range(2): c.main(['distance', '--v', '10', '--k', '4', '--i', '2', '--x', '1'])\n"
                 "print(before, n().misses, n().hits)")
-        assert _fresh(code) == ["0", "1", "1"]
+        assert fresh(code) == ["0", "1", "1"]
 
 
 class TestParserReuse:

@@ -1,0 +1,56 @@
+"""The package namespace: every name in gjg.__all__, including the oracle's,
+which load on first access."""
+
+import pytest
+
+import gjg
+
+ORACLE_NAMES = [
+    "DEFAULT_VERTEX_BUDGET", "ExplicitGraph", "OracleReport", "build_graph",
+    "oracle_diameter", "oracle_distance", "oracle_girth", "oracle_odd_girth",
+    "oracle_report",
+]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in gjg.__all__ if not hasattr(gjg, name)] == []
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from gjg import *", namespace)
+    assert set(gjg.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_oracle_name_is_the_oracles_own_object(name):
+    assert name in gjg.__all__
+    assert getattr(gjg, name) is getattr(gjg.oracle, name)
+
+
+def test_dir_lists_the_oracle_names():
+    assert set(ORACLE_NAMES) | {"oracle"} <= set(dir(gjg))
+
+
+def test_unknown_name_raises_attribute_error_naming_gjg():
+    with pytest.raises(AttributeError, match="module 'gjg' has no attribute 'no_such_name'"):
+        gjg.no_such_name
+
+
+def test_oracle_reachable_after_a_bare_import(fresh):
+    code = ("import sys, gjg; before = 'gjg.oracle' in sys.modules\n"
+            "print(before, gjg.oracle.__name__, gjg.DEFAULT_VERTEX_BUDGET)")
+    assert fresh(code) == ["False", "gjg.oracle", "20000"]
+
+
+def test_first_access_from_eight_threads_gets_one_object(fresh):
+    code = ("import threading, gjg\n"
+            "barrier, got = threading.Barrier(8), []\n"
+            "def first():\n"
+            "    barrier.wait()\n"
+            "    got.append(gjg.build_graph)\n"
+            "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(len(got), len(set(map(id, got))), got[0] is gjg.oracle.build_graph)")
+    assert fresh(code) == ["8", "1", "True"]
