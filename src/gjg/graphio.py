@@ -5,14 +5,16 @@ e_0 < ... < e_{k-1}; its rank is sum_j C(e_j, j+1).  Colex was chosen over
 lex because unranking needs no per-element binomial tables.  External
 consumers can reproduce ranks from this formula alone.
 
-Only graph export needs numpy, and it imports numpy when called, so
-ranking and report rendering load without it.
+Graph export encodes each slab of edges that ``ExplicitGraph.edge_blocks``
+yields as it arrives, so the oracle's slab is the only step size between
+packed rows and output bytes.  Only graph export needs numpy, and it
+imports numpy when called, so ranking and report rendering load without it.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .params import Parameters, delta, rank_index, vertex
 
@@ -25,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 REPORT_SCHEMA = "gjg.report/1"
 
 _PAD = 0  # filler in the label tables; never a byte of an ASCII payload
-_BLOCK = 1 << 16  # edges encoded per step
 
 
 def rank(p: Parameters, s: Sequence[int]) -> int:
@@ -56,18 +57,11 @@ def unrank(p: Parameters, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _undirected_edges(g: "ExplicitGraph") -> np.ndarray:
-    """Every edge as one (m, 2) int32 array of (u, w) rows with u < w, in
-    (u, w) order; iterating it gives the pairs."""
-    import numpy as np
-
-    edges = np.empty((g.edge_count, 2), dtype=np.int32)
-    m = 0
-    for us, ws in g.edge_blocks():
-        edges[m : m + us.size, 0] = us
-        edges[m : m + us.size, 1] = ws
-        m += us.size
-    return edges
+def _undirected_edges(g: "ExplicitGraph") -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The non-empty (us, ws) slabs of :meth:`ExplicitGraph.edge_blocks`.
+    Export reads edges only through here, so a test can substitute its
+    own; with empty slabs skipped, dropping the last one drops the last line."""
+    return (block for block in g.edge_blocks() if block[0].size)
 
 
 def _label_table(n: int, offset: int, prefix: bytes) -> np.ndarray:
@@ -88,13 +82,14 @@ def _label_table(n: int, offset: int, prefix: bytes) -> np.ndarray:
     return table
 
 
-def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list[bytes]:
-    """One ASCII line per (u, w) row (prefix, u, space, w, newline), labels
-    shifted by offset, as one bytes chunk per block of _BLOCK edges.
+def _encode_edges(blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int, offset: int,
+                  prefix: bytes) -> list[bytes]:
+    """One ASCII line per edge (prefix, u, space, w, newline), labels
+    shifted by offset, as one bytes chunk per (us, ws) block.
 
     Read as 2n rows, the label table holds every line's first half in rows
-    0..n-1 and its second in rows n..2n-1.  A block cast once to a flat
-    intp index, n added to each w in place, lists the rows to take, so one
+    0..n-1 and its second in rows n..2n-1.  A block's u and w + n,
+    interleaved into one fresh intp index, list the rows to take, so one
     gather (making no index copy of its own) spells the block's lines and
     one bytes.translate deletes the pads between them.
     """
@@ -103,9 +98,10 @@ def _encode_edges(edges: np.ndarray, n: int, offset: int, prefix: bytes) -> list
     table = _label_table(n, offset, prefix).reshape(2 * n, -1)
     pad = bytes([_PAD])
     chunks = []
-    for b0 in range(0, len(edges), _BLOCK):
-        rows = edges[b0 : b0 + _BLOCK].astype(np.intp).ravel()
-        rows[1::2] += n
+    for us, ws in blocks:
+        rows = np.empty(2 * len(us), dtype=np.intp)
+        rows[0::2] = us
+        np.add(ws, n, out=rows[1::2])
         chunks.append(table.take(rows, axis=0).tobytes().translate(None, pad))
     return chunks
 
@@ -115,19 +111,17 @@ def export_graph(g: "ExplicitGraph", format: str) -> bytes:
     (1-based); any other value, 'DIMACS' included, raises ValueError.
 
     Output is byte-identical across runs: edges sorted by (u, w) with
-    u < w, every line newline-terminated.  Edges are encoded in bulk,
-    a block of them at a time with numpy, so no Python object is made per
-    edge and the memory needed is a small multiple of the payload.
+    u < w, every line newline-terminated.  Each slab of edges is encoded
+    in bulk with numpy as the oracle yields it, so no Python object is
+    made per edge, no array holds every edge, and the memory needed is a
+    small multiple of the payload.
     """
     if format not in ("edgelist", "dimacs"):
         raise ValueError(f"unknown format {format!r}; expected 'edgelist' or 'dimacs'")
-    import numpy as np
-
-    edges = np.asarray(_undirected_edges(g), dtype=np.int32).reshape(-1, 2)
     if format == "edgelist":
-        return b"".join(_encode_edges(edges, g.n, 0, b""))
+        return b"".join(_encode_edges(_undirected_edges(g), g.n, 0, b""))
     header = f"p edge {g.n} {g.edge_count}\n".encode("ascii")
-    return b"".join([header, *_encode_edges(edges, g.n, 1, b"e ")])
+    return b"".join([header, *_encode_edges(_undirected_edges(g), g.n, 1, b"e ")])
 
 
 def format_value(x) -> str:

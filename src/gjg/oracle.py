@@ -95,8 +95,8 @@ class ExplicitGraph:
         right of u, so every bit left is an edge u < w.  Only the nonzero
         bytes, found by one flat scan, are unpacked; dividing a byte's flat
         index by the slab width gives its row and column.  A slab holds at
-        most _SLAB bytes of rows and, so that its index arrays stay small,
-        _SLAB edges."""
+        most _SLAB bytes of rows and, so that its index arrays and the
+        export encoder's gather over each block stay small, _SLAB edges."""
         step = max(1, _SLAB // max(self.adj.shape[1], self.degree))
         for r0 in range(0, self.n, step):
             c0 = r0 >> 3  # the slab's first diagonal byte; nothing left of it is upper

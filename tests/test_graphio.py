@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gjg.graphio
+import gjg.oracle
 from gjg.errors import InvalidSet, OutOfRange
 from gjg.formulas import report_for
 from gjg.graphio import export_graph, export_report, rank, unrank
@@ -187,24 +188,40 @@ class TestExportGraph:
 
     def test_dropped_edge_drops_exactly_the_last_line(self, monkeypatch):
         # perfbench's correctness gate sabotages export through this seam
-        # (its _dropped_edge): both payloads must then differ from the
-        # recorded ones, by exactly their last line.
-        g = build_graph(P(7, 3, 0))
-        full = {fmt: export_graph(g, fmt) for fmt in ("edgelist", "dimacs")}
+        # (its _dropped_edge, which drops the last slab): every payload of
+        # its smoke graphs, one slab each, must then differ from the
+        # recorded one.
+        fmts = ("edgelist", "dimacs")
+        graphs = [build_graph(P(*t)) for t in [(7, 3, 0), (7, 4, 1), (8, 3, 1), (8, 5, 3)]]
+        full = [[export_graph(g, fmt) for fmt in fmts] for g in graphs]
         real = gjg.graphio._undirected_edges
         monkeypatch.setattr(gjg.graphio, "_undirected_edges", lambda g: list(real(g))[:-1])
-        for fmt, payload in full.items():
+        for g, payloads in zip(graphs, full):
+            assert all(export_graph(g, fmt) != b for fmt, b in zip(fmts, payloads)), g.params
+        # At 4 rows per slab J(7,3,0) has several, the last ones empty:
+        # each payload loses exactly the lines of the last slab with any.
+        g = graphs[0]
+        monkeypatch.setattr(gjg.oracle, "_SLAB", 4 * g.adj.shape[1])
+        sizes = [us.size for us, _ in g.edge_blocks()]
+        assert len(sizes) > 1 and sizes[-1] == 0
+        last = [size for size in sizes if size][-1]
+        for fmt, payload in zip(fmts, full[0]):
             lines = payload.splitlines(keepends=True)
-            assert export_graph(g, fmt) == b"".join(lines[:-1]), fmt
+            assert export_graph(g, fmt) == b"".join(lines[:-last]), fmt
 
     # translate drops pads chunk by chunk, so a seam bug would show only
-    # where one block of edges ends and the next begins.
-    @pytest.mark.parametrize("block", [1, 3, 7])
-    def test_block_seams_change_no_byte(self, monkeypatch, block):
+    # where one slab of edges ends and the next begins.  The graphs are
+    # built first: _SLAB also sizes the build's steps.
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_block_seams_change_no_byte(self, monkeypatch, rows):
         graphs = [build_graph(P(*t)) for t in [*_REFERENCE_TRIPLES, (14, 4, 1)]]
         whole = [export_graph(g, fmt) for g in graphs for fmt in ("edgelist", "dimacs")]
-        monkeypatch.setattr(gjg.graphio, "_BLOCK", block)
-        assert [export_graph(g, fmt) for g in graphs for fmt in ("edgelist", "dimacs")] == whole
+        seamed = []
+        for g in graphs:
+            monkeypatch.setattr(gjg.oracle, "_SLAB", rows * max(g.adj.shape[1], g.degree))
+            assert max(us.size for us, _ in g.edge_blocks()) <= rows * g.degree
+            seamed += [export_graph(g, fmt) for fmt in ("edgelist", "dimacs")]
+        assert seamed == whole
 
     def test_pad_is_never_a_payload_byte(self):
         # Every occurrence of the pad is deleted, so a printable pad would
@@ -216,16 +233,19 @@ class TestExportGraph:
             for fmt in ("edgelist", "dimacs"):
                 assert pad not in export_graph(g, fmt), (t, fmt)
 
+    # J(13,6,3) is the largest payload (600600 edges, a 5.2 MB edgelist);
+    # J(14,4,1) has the largest slab for its payload.
     @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
     def test_memory_is_a_small_multiple_of_the_payload(self, fmt):
-        g = build_graph(P(13, 6, 3))  # 600600 edges, a 5.2 MB edgelist
-        tracemalloc.start()
-        try:
-            payload = export_graph(g, fmt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * len(payload), (peak, len(payload))
+        for t, bound in [((13, 6, 3), 2.2), ((14, 4, 1), 6)]:
+            g = build_graph(P(*t))
+            tracemalloc.start()
+            try:
+                payload = export_graph(g, fmt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * len(payload), (t, peak, len(payload))
 
     def test_unknown_format(self):
         g = build_graph(P(5, 2, 0))
@@ -259,17 +279,18 @@ class TestExportGraph:
         assert table.dtype == np.uint8
         assert [[row.tobytes() for row in half] for half in table] == halves
 
-    # One block ends on (0, n - 1) with _BLOCK = 2, on (n - 2, n - 1) with 3:
-    # the largest label closes a chunk.  n = 10 widens only the 1-based labels.
-    @pytest.mark.parametrize("block", [2, 3])
+    # Blocks of 2 end on (0, 9), of 3 on (8, 9): the largest label closes
+    # a chunk.  n = 10 widens only the 1-based labels.
+    @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.int32, np.intp])
-    def test_encode_edges_matches_python(self, monkeypatch, dtype, block):
+    def test_encode_edges_matches_python(self, dtype, block):
         n, pairs = 10, [(0, 1), (0, 9), (8, 9)]
         edges = np.array(pairs, dtype=dtype)
-        monkeypatch.setattr(gjg.graphio, "_BLOCK", block)
+        blocks = [(edges[b0 : b0 + block, 0], edges[b0 : b0 + block, 1])
+                  for b0 in range(0, len(pairs), block)]
         for offset, prefix in [(0, b""), (1, b"e ")]:
-            chunks = gjg.graphio._encode_edges(edges, n, offset, prefix)
-            assert len(chunks) == -(-len(pairs) // block)
+            chunks = gjg.graphio._encode_edges(blocks, n, offset, prefix)
+            assert len(chunks) == len(blocks) == -(-len(pairs) // block)
             assert b"".join(chunks) == b"".join(
                 b"%s%d %d\n" % (prefix, u + offset, w + offset) for u, w in pairs)
         assert edges.tolist() == [list(e) for e in pairs]  # the index is a copy
