@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DegenerateClass, InvalidOrder, InvalidSet, OutOfRange
@@ -130,16 +131,19 @@ def intersection_size(p: Parameters, x) -> int:
 
 
 def vertex(p: Parameters, s) -> tuple[int, ...]:
-    """s as a vertex of J(v,k,i): exactly k ints (bools and numpy integers
-    are not), strictly increasing, inside range(v).  Raises InvalidSet
-    for anything else, including a value that is not a sequence."""
-    try:
-        t = tuple(s)
-    except TypeError:
-        raise InvalidSet(f"expected a sequence of {p.k} elements, got {s!r}") from None
+    """s as a vertex of J(v,k,i): a sequence of exactly k ints (bools,
+    numpy integers and other int subclasses are not), strictly
+    increasing, inside range(v).  A sequence is a tuple, a list or any
+    other collections.abc.Sequence, such as a range; a set, a dict, an
+    iterator or a generator is not.  Raises InvalidSet for anything
+    else."""
+    cls = type(s)  # tuples and lists skip the slower ABC check
+    if cls is not tuple and cls is not list and not isinstance(s, Sequence):
+        raise InvalidSet(f"expected a sequence of {p.k} elements, got {s!r}")
+    t = tuple(s)
     if len(t) != p.k:
         raise InvalidSet(f"expected {p.k} elements, got {len(t)}")
-    if not {*map(type, t)} <= {int}:
+    if operator.countOf(map(type, t), int) != len(t):
         raise InvalidSet(f"elements must be integers, got {t}")
     if not all(map(operator.lt, t, t[1:])):
         raise InvalidSet(f"elements must be strictly increasing, got {t}")

@@ -78,17 +78,20 @@ def verify_walk(p: Parameters, w: Walk) -> bool:
     the walk False), and consecutive vertices must intersect in exactly i
     elements; paths have distinct vertices; cycles are closed with
     distinct interior and at least 3 edges; closed walks are merely
-    closed.  The kind must be a WalkKind, and the claimed length an int
-    (bools are not) equal to the number of edges traversed.
+    closed.  w must be a Walk, its kind a WalkKind, and its claimed length
+    an int (bools are not) equal to the number of edges traversed.
     """
+    if not isinstance(w, Walk):
+        return False
     try:
         vs = [vertex(p, s) for s in w.vertices]
     except (InvalidSet, TypeError):  # TypeError: vertices is not a sequence
         return False
     if not vs or type(w.claimed_length) is not int or w.claimed_length != len(vs) - 1:
         return False
-    sets = [set(s) for s in vs]
-    if any(len(m & n) != p.i for m, n in zip(sets, sets[1:])):
+    # One set alive per step: a set per vertex held for the whole walk
+    # adds a garbage-collected container per vertex.
+    if any(len(set(m).intersection(n)) != p.i for m, n in zip(vs, vs[1:])):
         return False
     if w.kind is WalkKind.PATH:
         return len(set(vs)) == len(vs)

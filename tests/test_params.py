@@ -111,56 +111,77 @@ def test_intersection_range_bounds(t):
     assert r.stop == p.k + 1
 
 
+class _Int(int):
+    pass
+
+
 def _bad_vertices(p):
-    # Wrong values, each a = (0, ..., k-1) with one fault (the float, bool
-    # and numpy cases equal a under ==), then wrong shapes.
+    # name: (the fault InvalidSet names, the value).  Wrong values, each
+    # a = (0, ..., k-1) with one fault (the float, bool, numpy and int
+    # subclass cases equal a under ==), then wrong shapes, then values
+    # that are not sequences; the sets here iterate in ascending order.
+    # An iterator is rejected unread, so one serves every entry point.
     a = tuple(range(p.k))
+    integers, increasing, inside = "must be integers", "strictly increasing", "must lie in"
+    sequence = f"expected a sequence of {p.k} elements"
     return {
-        "float": (*a[:-1], float(a[-1])),
-        "bool": (a[0], True, *a[2:]),
-        "numpy integer": (np.int64(0), *a[1:]),
-        "string": (*a[:-1], str(a[-1])),
-        "negative": (-1, *a[1:]),
-        "too large": (*a[:-1], p.v),
-        "unsorted": a[::-1],
-        "duplicated": (a[0], a[0], *a[2:]),
-        "too short": a[:-1],
-        "too long": (*a, p.v - 1),
-        "integer": 5,
-        "None": None,
+        "float": (integers, (*a[:-1], float(a[-1]))),
+        "bool": (integers, (a[0], True, *a[2:])),
+        "bool last": (integers, (*a[:-1], True)),
+        "numpy integer": (integers, (np.int64(0), *a[1:])),
+        "numpy integer inside": (integers, (*a[:1], np.int64(a[1]), *a[2:])),
+        "int subclass": (integers, (*a[:-1], _Int(a[-1]))),
+        "string": (integers, (*a[:-1], str(a[-1]))),
+        "negative": (inside, (-1, *a[1:])),
+        "too large": (inside, (*a[:-1], p.v)),
+        "unsorted": (increasing, a[::-1]),
+        "duplicated": (increasing, (a[0], a[0], *a[2:])),
+        "too short": (f"expected {p.k} elements, got {p.k - 1}", a[:-1]),
+        "too long": (f"expected {p.k} elements, got {p.k + 1}", (*a, p.v - 1)),
+        "integer": (sequence, 5),
+        "None": (sequence, None),
+        "set": (sequence, set(a)),
+        "frozenset": (sequence, frozenset(a)),
+        "dict": (sequence, dict.fromkeys(a)),
+        "iterator": (sequence, iter(a)),
+        "generator": (sequence, (e for e in a)),
     }
 
 
-def _accepted(p, a, b):
-    # The entry points that take a vertex and accept the pair a, b.
+def _answers(p, a, b):
+    # What each entry point that takes a vertex says of the pair a, b:
+    # True when it takes both, else its InvalidSet message; verify_walk,
+    # which never raises, says True or False.
     def takes(build, *args):
         try:
             build(p, *args)
-        except InvalidSet:
-            return False
+        except InvalidSet as exc:
+            return str(exc)
         except GJGError:  # an answer about the pair, not about a vertex
             pass
         return True
 
-    found = {
-        "rank": takes(rank, a) and takes(rank, b),
+    return {
+        "rank": takes(lambda p, a, b: (rank(p, a), rank(p, b)), a, b),
         "verify_walk": verify_walk(p, Walk((a, b), WalkKind.PATH, 1)),
         "geodesic": takes(geodesic, a, b),
         "common_neighbor": takes(common_neighbor, a, b),
     }
-    return [name for name, yes in found.items() if yes]
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 0), (8, 4, 1), (7, 4, 2)])  # (7,4,2) lifts
 def test_every_entry_point_rejects_the_same_vertices(triple):
+    # Each entry point rejects each bad vertex with vertex's own message.
     p = make_parameters(*triple)
     a = tuple(range(p.k))
     b = tuple(range(p.k - p.i, 2 * p.k - p.i))  # adjacent to a
-    assert _accepted(p, a, b) == ["rank", "verify_walk", "geodesic", "common_neighbor"]
-    for name, bad in _bad_vertices(p).items():
-        with pytest.raises(InvalidSet):
+    takes_all = {"rank": True, "verify_walk": True, "geodesic": True, "common_neighbor": True}
+    assert _answers(p, a, b) == _answers(p, b, a) == takes_all
+    for name, (fault, bad) in _bad_vertices(p).items():
+        with pytest.raises(InvalidSet, match=fault) as caught:
             vertex(p, bad)
-        assert _accepted(p, bad, b) == _accepted(p, b, bad) == [], name
+        said = dict.fromkeys(takes_all, str(caught.value)) | {"verify_walk": False}
+        assert _answers(p, bad, b) == _answers(p, b, bad) == said, name
 
 
 def test_vertex_returns_a_tuple_and_names_the_fault():

@@ -61,12 +61,27 @@ class TestVerifyWalk:
 
     def test_never_raises_on_odd_containers(self):
         # List vertices are read like tuples; vertices that are not a
-        # sequence make an invalid walk, not an error.
+        # sequence, or a w that is not a Walk, make an invalid walk, not
+        # an error.
         p = P(5, 2, 0)
         assert verify_walk(p, Walk(([0, 1], [2, 3]), WalkKind.PATH, 1)) is True
         assert verify_walk(p, Walk(([0, 1], [2, 3], [0, 1]), WalkKind.PATH, 2)) is False
         assert verify_walk(p, Walk(None, WalkKind.PATH, 0)) is False
         assert verify_walk(p, Walk(5, WalkKind.PATH, 0)) is False
+        assert verify_walk(p, None) is False
+        assert verify_walk(p, ((0, 1), (2, 3))) is False
+
+    @pytest.mark.parametrize("bad", [True, 201])
+    def test_one_bad_element_deep_in_a_long_walk(self, bad):
+        # Element 99 of vertex 57 of a length-100 geodesic in J(201,100,0):
+        # every element of every vertex is checked.
+        p = P(201, 100, 0)
+        a, b = canonical_pair(p, 50)
+        w = geodesic(p, a, b)
+        assert w.claimed_length == 100 and verify_walk(p, w) is True
+        vs = list(w.vertices)
+        vs[57] = (*vs[57][:99], bad)
+        assert verify_walk(p, Walk(tuple(vs), WalkKind.PATH, 100)) is False
 
     @pytest.mark.parametrize("vertex", [(0, 1.5), (-1, 1), (1, 5), (0.5, 2), ("0", "1")])
     def test_vertex_outside_the_ground_set(self, vertex):
