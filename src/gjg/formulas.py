@@ -12,7 +12,7 @@ Infinite distances are math.inf, undefined cycle lengths are None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateClass, Unsupported
 from .params import (
@@ -127,8 +127,7 @@ def max_route_distance(p: Parameters) -> int:
     return ceil_div(p.k - p.i - 1, delta(p)) + 1
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Formula-side invariants; distance_profile maps |A ∩ B| to dist(A,B)."""
 
     params: Parameters

@@ -43,9 +43,10 @@ def unrank(p: Parameters, r: int) -> tuple[int, ...]:
     binomial is recomputed.
     """
     rank_index(p, r)
-    out = [0] * p.k
-    e, c = p.v, comb(p.v, p.k)
-    for j in range(p.k, 0, -1):
+    v, k = p.v, p.k  # read once: a named-tuple field costs more than a local
+    out = [0] * k
+    e, c = v, comb(v, k)
+    for j in range(k, 0, -1):
         while c > r:
             c = c * (e - j) // e
             e -= 1

@@ -17,7 +17,7 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateClass, InvalidOrder, InvalidSet, OutOfRange
 
@@ -37,8 +37,7 @@ class GraphClass(enum.Enum):
 _DEGENERATE = frozenset({GraphClass.EMPTY_VERTEX_SET, GraphClass.EDGELESS})
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(NamedTuple):
     """Validated triple with its classification.  Build via make_parameters."""
 
     v: int
@@ -79,12 +78,12 @@ def _classify(v: int, k: int, i: int) -> GraphClass:
 def make_parameters(v: int, k: int, i: int) -> Parameters:
     """Validate and classify a triple.
 
-    Raises InvalidOrder unless v, k and i are integers (bools are not)
-    with v >= k >= i >= 0.  Degenerate triples (k = i, v = k, or
-    intersections forced above i) are accepted and tagged rather than
-    rejected, so callers can explain them.
+    Raises InvalidOrder unless v, k and i are ints (bools, enum members
+    and other int subclasses are not) with v >= k >= i >= 0.  Degenerate
+    triples (k = i, v = k, or intersections forced above i) are accepted
+    and tagged rather than rejected, so callers can explain them.
     """
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (v, k, i)):
+    if not (type(v) is int and type(k) is int and type(i) is int):
         raise InvalidOrder(f"parameters must be integers, got ({v!r}, {k!r}, {i!r})")
     if not v >= k >= i >= 0:
         raise InvalidOrder(f"need v >= k >= i >= 0, got ({v}, {k}, {i})")
@@ -130,15 +129,20 @@ def intersection_size(p: Parameters, x) -> int:
     return x
 
 
-def vertex(p: Parameters, s) -> tuple[int, ...]:
-    """s as a vertex of J(v,k,i): a sequence of exactly k ints (bools,
-    numpy integers and other int subclasses are not), strictly
-    increasing, inside range(v).  A sequence is a tuple, a list or any
-    other collections.abc.Sequence, such as a range; a set, a dict, an
-    iterator or a generator is not.  Raises InvalidSet for anything
-    else."""
+def is_sequence(s) -> bool:
+    """Whether s is a sequence: a tuple, a list or any other
+    collections.abc.Sequence, such as a range; a set, a dict, an iterator
+    or a generator is not."""
     cls = type(s)  # tuples and lists skip the slower ABC check
-    if cls is not tuple and cls is not list and not isinstance(s, Sequence):
+    return cls is tuple or cls is list or isinstance(s, Sequence)
+
+
+def vertex(p: Parameters, s) -> tuple[int, ...]:
+    """s as a vertex of J(v,k,i): a sequence (see :func:`is_sequence`) of
+    exactly k ints (bools, numpy integers and other int subclasses are
+    not), strictly increasing, inside range(v).  Raises InvalidSet for
+    anything else."""
+    if type(s) is not tuple and not is_sequence(s):  # a tuple skips the call
         raise InvalidSet(f"expected a sequence of {p.k} elements, got {s!r}")
     t = tuple(s)
     if len(t) != p.k:

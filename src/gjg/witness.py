@@ -23,12 +23,11 @@ never sorted for the caller.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor
 from .formulas import ceil_div, distance_by_intersection, girth, has_common_neighbor, odd_girth
-from .params import GraphClass, Parameters, delta, intersection_size, normalize, vertex
+from .params import GraphClass, Parameters, delta, intersection_size, is_sequence, normalize, vertex
 
 VertexSet = tuple[int, ...]
 
@@ -39,8 +38,7 @@ class WalkKind(enum.Enum):
     CLOSED_WALK = "closed_walk"
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """A vertex sequence with a claimed kind and edge count."""
 
     vertices: tuple[VertexSet, ...]
@@ -74,18 +72,19 @@ def _split(p: Parameters, A: Sequence[int], B: Sequence[int]) -> tuple[list[int]
 def verify_walk(p: Parameters, w: Walk) -> bool:
     """Independent check of the walk axioms; never raises.
 
-    Every vertex must pass :func:`gjg.params.vertex` (a rejected one makes
+    w must be a Walk whose vertices pass :func:`gjg.params.is_sequence`,
+    each vertex must pass :func:`gjg.params.vertex` (a rejected one makes
     the walk False), and consecutive vertices must intersect in exactly i
     elements; paths have distinct vertices; cycles are closed with
     distinct interior and at least 3 edges; closed walks are merely
-    closed.  w must be a Walk, its kind a WalkKind, and its claimed length
-    an int (bools are not) equal to the number of edges traversed.
+    closed.  The kind must be a WalkKind and the claimed length an int
+    (bools are not) equal to the number of edges traversed.
     """
-    if not isinstance(w, Walk):
+    if not isinstance(w, Walk) or not is_sequence(w.vertices):
         return False
     try:
         vs = [vertex(p, s) for s in w.vertices]
-    except (InvalidSet, TypeError):  # TypeError: vertices is not a sequence
+    except InvalidSet:
         return False
     if not vs or type(w.claimed_length) is not int or w.claimed_length != len(vs) - 1:
         return False

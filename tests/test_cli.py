@@ -391,30 +391,40 @@ def _main_quietly(*argv: str) -> str:
             f"    assert main({list(argv)!r}) == 0")
 
 
+# Fresh-interpreter setups by name: the entry points that build no graph,
+# and the two that do.
+_GRAPH_FREE = {
+    "import-gjg": "import gjg",
+    "import-cli": "import gjg.cli",
+    "import-graphio": "import gjg.graphio",
+    "invariants": _main_quietly("invariants", "--v", "9", "--k", "4", "--i", "1"),
+    "invariants-structured": _main_quietly("invariants", "--v", "9", "--k", "4", "--i", "1",
+                                           "--emit", "structured"),
+    "distance-witness": _main_quietly("distance", "--v", "10", "--k", "4", "--i", "2", "--x", "1", "--witness"),
+    "witness-cycle": _main_quietly("witness", "--v", "7", "--k", "3", "--i", "1", "cycle"),
+    "witness-oddwalk": _main_quietly("witness", "--v", "7", "--k", "3", "--i", "0", "oddwalk"),
+}
+_BUILDING = {
+    "export": _main_quietly("export", "--v", "5", "--k", "2", "--i", "0", "--format", "dimacs"),
+    "verify": _main_quietly("verify", "--v-max", "4"),
+}
+
+
 class TestStartup:
     # A single query pays for what it runs: only verify loads the sweep,
     # only a sweep with jobs > 1 loads the process pool, and only the
     # commands that build a graph load the oracle and numpy.
-    @pytest.mark.parametrize("setup, loaded", [
-        pytest.param("import gjg", [], id="import-gjg"),
-        pytest.param("import gjg.cli", [], id="import-cli"),
-        pytest.param("import gjg.graphio", [], id="import-graphio"),
-        pytest.param(_main_quietly("invariants", "--v", "9", "--k", "4", "--i", "1"), [],
-                     id="invariants"),
-        pytest.param(_main_quietly("invariants", "--v", "9", "--k", "4", "--i", "1", "--emit", "structured"),
-                     [], id="invariants-structured"),
-        pytest.param(_main_quietly("distance", "--v", "10", "--k", "4", "--i", "2", "--x", "1", "--witness"),
-                     [], id="distance-witness"),
-        pytest.param(_main_quietly("witness", "--v", "7", "--k", "3", "--i", "1", "cycle"), [],
-                     id="witness-cycle"),
-        pytest.param(_main_quietly("witness", "--v", "7", "--k", "3", "--i", "0", "oddwalk"), [],
-                     id="witness-oddwalk"),
-        pytest.param(_main_quietly("export", "--v", "5", "--k", "2", "--i", "0", "--format", "dimacs"),
-                     ["numpy", "gjg.oracle"], id="export"),
-        pytest.param(_main_quietly("verify", "--v-max", "4"), ["numpy", "gjg.oracle"], id="verify"),
-    ])
-    def test_entry_point_loads_numpy_and_oracle_only_to_build(self, fresh, setup, loaded):
+    @pytest.mark.parametrize("name", [*_GRAPH_FREE, *_BUILDING])
+    def test_entry_point_loads_numpy_and_oracle_only_to_build(self, fresh, name):
+        loaded = [] if name in _GRAPH_FREE else ["numpy", "gjg.oracle"]
+        setup = _GRAPH_FREE.get(name) or _BUILDING[name]
         assert _loaded_after(fresh, setup, ["numpy", "gjg.oracle"]) == loaded
+
+    @pytest.mark.parametrize("name", _GRAPH_FREE)
+    def test_graph_free_entry_point_loads_no_dataclasses(self, fresh, name):
+        # The graph-free records are named tuples; dataclasses would pull
+        # in inspect (and with it ast, dis and tokenize) at every start.
+        assert _loaded_after(fresh, _GRAPH_FREE[name], ["dataclasses", "inspect"]) == []
 
     def test_cli_import_leaves_out_sweep_and_pool(self, fresh):
         assert _loaded_after(fresh, "import gjg.cli",

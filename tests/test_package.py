@@ -1,5 +1,7 @@
 """The package namespace: every name in gjg.__all__, including the oracle's,
-which load on first access."""
+which load on first access; and the records the graph-free layer returns."""
+
+import pickle
 
 import pytest
 
@@ -54,3 +56,55 @@ def test_first_access_from_eight_threads_gets_one_object(fresh):
             "for t in threads: t.join()\n"
             "print(len(got), len(set(map(id, got))), got[0] is gjg.oracle.build_graph)")
     assert fresh(code) == ["8", "1", "True"]
+
+
+# Two equal but distinct instances of each record the graph-free layer
+# returns, and a field with a value to put in it.
+RECORDS = {
+    "Parameters": (lambda: gjg.make_parameters(10, 4, 2), "k", 3),
+    "InvariantReport": (lambda: gjg.report_for(9, 4, 1), "girth", 4),
+    "Walk": (lambda: gjg.geodesic(gjg.make_parameters(10, 4, 2), (0, 1, 2, 3), (0, 4, 5, 6)),
+             "claimed_length", 1),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_cannot_be_set(name):
+    make, field, value = RECORDS[name]
+    r = make()
+    with pytest.raises(AttributeError):
+        setattr(r, field, value)
+    assert getattr(r, field) != value
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_survives_a_pickle_round_trip(name):
+    # OracleReport.params crosses the sweep's process pool.
+    r = RECORDS[name][0]()
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and type(back) is type(r)
+
+
+@pytest.mark.parametrize("name", ["Parameters", "Walk"])
+def test_equal_records_hash_equal(name):
+    make = RECORDS[name][0]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_report_with_a_dict_field_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(gjg.report_for(9, 4, 1))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_replace_keeps_the_record_type(name):
+    make, field, value = RECORDS[name]
+    r = make()
+    changed = r._replace(**{field: value})
+    assert type(changed) is getattr(gjg, name)
+    assert getattr(changed, field) == value and changed != r == make()
+
+
+def test_record_equals_the_plain_tuple_of_its_fields():
+    assert gjg.make_parameters(10, 4, 2) == (10, 4, 2, gjg.GraphClass.STANDARD)

@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -43,9 +44,23 @@ def test_rejects_bad_order():
         make_parameters(5, 2, -1)
 
 
-@pytest.mark.parametrize("triple", [(True, 1, 0), (2, True, 0), (2, 1, False)])
+class _Int(int):
+    pass
+
+
+class _N(enum.IntEnum):
+    ZERO = 0
+    TWO = 2
+    FIVE = 5
+
+
+@pytest.mark.parametrize("triple", [
+    (True, 1, 0), (2, True, 0), (2, 1, False),
+    # Equal to ints under ==, but a Parameters holds exact ints only.
+    (_N.FIVE, _N.TWO, _N.ZERO), (5, 2, _N.ZERO), (_Int(5), 2, 0), (5, _Int(2), 0),
+])
 def test_rejects_bools(triple):
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(InvalidOrder, match="^parameters must be integers"):
         make_parameters(*triple)
 
 
@@ -109,10 +124,6 @@ def test_intersection_range_bounds(t):
     r = intersection_range(p)
     assert r.start == max(0, 2 * p.k - p.v)
     assert r.stop == p.k + 1
-
-
-class _Int(int):
-    pass
 
 
 def _bad_vertices(p):

@@ -96,7 +96,7 @@ class TestCheckTriple:
         # diameter 2 and profile {0: 1, 1: 2, 2: 0}.
         real = gjg.sweep.invariant_report
         monkeypatch.setattr(gjg.sweep, "invariant_report",
-                            lambda p: dataclasses.replace(real(p), **{name: wrong}))
+                            lambda p: real(p)._replace(**{name: wrong}))
         r = check_triple(5, 2, 0)
         got = getattr(real(make_parameters(5, 2, 0)), name)
         assert f"{name}: formula {wrong}, oracle {got}" in r.failures, r.failures

@@ -71,6 +71,17 @@ class TestVerifyWalk:
         assert verify_walk(p, None) is False
         assert verify_walk(p, ((0, 1), (2, 3))) is False
 
+    @pytest.mark.parametrize("container, verifies", [
+        (tuple, True), (list, True), (set, False), (frozenset, False),
+        (dict.fromkeys, False), (iter, False), (lambda vs: (s for s in vs), False),
+    ], ids=["tuple", "list", "set", "frozenset", "dict", "iterator", "generator"])
+    def test_vertices_must_be_a_sequence(self, container, verifies):
+        # The rule params.vertex applies to a vertex's elements: a set or
+        # dict has no order, and an iterator would be used up by the check.
+        p = P(5, 2, 0)
+        vs = container([(0, 1), (2, 3)])
+        assert verify_walk(p, Walk(vs, WalkKind.PATH, 1)) is verifies
+
     @pytest.mark.parametrize("bad", [True, 201])
     def test_one_bad_element_deep_in_a_long_walk(self, bad):
         # Element 99 of vertex 57 of a length-100 geodesic in J(201,100,0):
@@ -437,7 +448,7 @@ def test_constructions_are_pinned_by_a_digest():
         except Exception as e:  # an error is part of the result
             line = f"{type(e).__name__}: {e}"
         else:
-            line = repr(r) if isinstance(r, tuple) else f"{r.kind.value} {r.claimed_length} {r.vertices}"
+            line = f"{r.kind.value} {r.claimed_length} {r.vertices}" if isinstance(r, Walk) else repr(r)
         digest.update(line.encode() + b"\n")
 
     for t in DIGEST_TRIPLES:
