@@ -28,7 +28,6 @@ from .errors import (
     Unsupported,
 )
 from .formulas import (
-    INFINITE,
     InvariantReport,
     diameter,
     distance_by_intersection,
@@ -41,6 +40,7 @@ from .formulas import (
 )
 from .graphio import export_graph, export_report, rank, unrank
 from .params import (
+    INFINITE,
     GraphClass,
     Parameters,
     delta,
@@ -60,6 +60,13 @@ from .witness import (
 
 __version__ = "0.1.0"
 
+# Names gjg re-exports from the oracle, which loads on their first access.
+_ORACLE_NAMES = frozenset({
+    "DEFAULT_VERTEX_BUDGET", "ExplicitGraph", "OracleReport", "build_graph",
+    "oracle_diameter", "oracle_distance", "oracle_girth", "oracle_odd_girth",
+    "oracle_report",
+})
+
 __all__ = [
     "BudgetExceeded", "DegenerateClass", "Disconnected", "GJGError",
     "InvalidOrder", "InvalidSet", "NoCommonNeighbor", "OutOfRange",
@@ -67,20 +74,11 @@ __all__ = [
     "distance_by_intersection", "girth", "has_common_neighbor",
     "invariant_report", "max_route_distance", "odd_girth", "report_for",
     "export_graph", "export_report", "rank", "unrank",
-    "DEFAULT_VERTEX_BUDGET", "ExplicitGraph", "OracleReport", "build_graph",
-    "oracle_diameter", "oracle_distance", "oracle_girth", "oracle_odd_girth",
-    "oracle_report", "GraphClass", "Parameters", "delta",
+    *sorted(_ORACLE_NAMES), "GraphClass", "Parameters", "delta",
     "intersection_range", "make_parameters", "normalize", "Walk", "WalkKind",
     "common_neighbor", "geodesic", "odd_closed_walk", "shortest_cycle",
     "verify_walk",
 ]
-
-# Names gjg re-exports from the oracle, which loads on their first access.
-_ORACLE_NAMES = frozenset({
-    "DEFAULT_VERTEX_BUDGET", "ExplicitGraph", "OracleReport", "build_graph",
-    "oracle_diameter", "oracle_distance", "oracle_girth", "oracle_odd_girth",
-    "oracle_report",
-})
 
 
 def __getattr__(name: str):

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateClass, Unsupported
 from .params import (
+    INFINITE,
     GraphClass,
     Parameters,
     delta,
@@ -24,8 +25,6 @@ from .params import (
     make_parameters,
     normalize,
 )
-
-INFINITE = math.inf
 
 
 def ceil_div(a: int, b: int) -> int:

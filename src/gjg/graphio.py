@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .params import Parameters, delta, rank_index, vertex
+from .params import INFINITE, Parameters, delta, rank_index, vertex
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -132,7 +132,7 @@ def format_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return "infinite" if x == float("inf") else str(int(x))
+        return "infinite" if x == INFINITE else str(int(x))
     return str(x)
 
 

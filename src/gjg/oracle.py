@@ -27,6 +27,7 @@ diameter is the profile's largest distance, every class being non-empty.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -35,12 +36,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, Unsupported
-from .params import Parameters, intersection_range, intersection_size, rank_index
+from .params import INFINITE, Parameters, intersection_range, intersection_size, rank_index
 
 DEFAULT_VERTEX_BUDGET = 20_000
 MAX_GROUND_SET = 64
-
-INFINITE = math.inf
 
 # Memory limit files of cgroup v2, then v1 (which reads a huge number when unlimited).
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -247,9 +246,10 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     return g
 
 
+@functools.cache
 def _physical_memory() -> int | float:
     """Bytes of physical memory, capped by a cgroup memory limit; unbounded
-    where neither the OS nor a cgroup says."""
+    where neither the OS nor a cgroup says.  Read once per process."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateClass, InvalidOrder, InvalidSet, OutOfRange
 
+INFINITE = math.inf  # the distance between unreachable vertices
+
 
 class GraphClass(enum.Enum):
     """Classification tag; exactly one applies per triple."""

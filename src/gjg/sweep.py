@@ -58,8 +58,8 @@ class SweepConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 2 <= self.v_max <= 64:
-            raise ValueError(f"v_max must be in [2, 64], got {self.v_max}")
+        if not 2 <= self.v_max <= oracle.MAX_GROUND_SET:
+            raise ValueError(f"v_max must be in [2, {oracle.MAX_GROUND_SET}], got {self.v_max}")
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be positive")
         if self.jobs < 1:
@@ -149,20 +149,6 @@ def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, pairs: d
 def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
     """Geodesics, shortest cycle, odd walk, and common-neighbor claims,
     all validated with verify_walk and against oracle adjacency."""
-    if p.graph_class is GraphClass.MATCHING:
-        w = witness.geodesic(p, *witness.canonical_pair(p, 0))
-        _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == 1,
-               "matching edge geodesic invalid")
-        if p.k >= 2:
-            partial_overlap = witness.canonical_pair(p, 1)
-            _check(res, "witness", _raises(Disconnected, witness.geodesic, p, *partial_overlap),
-                   "expected Disconnected for partial overlap")
-        for op in (witness.shortest_cycle, witness.odd_closed_walk):
-            _check(res, "witness", _raises(DegenerateClass, op, p),
-                   f"{op.__name__} should reject a matching")
-        return
-
-    a0 = tuple(range(p.k))
     for x in intersection_range(p):
         a, b = witness.canonical_pair(p, x)
         w = witness.geodesic(p, a, b)
@@ -170,26 +156,22 @@ def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
         _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == want,
                f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or formula {want}")
 
-        # Common-neighbor construction against the packed adjacency rows.
+        # Common-neighbor construction against the packed adjacency rows; where a
+        # wrongly claimed neighbour makes it raise, record that and go on.
         shared = g.adj[graphio.rank(p, a)] & g.adj[graphio.rank(p, b)]
         found = bool(shared.any())
         claims = formulas.has_common_neighbor(p, x)
         _check(res, "common_neighbor", claims == found, f"x={x}: formula {claims}, oracle {found}")
-        if claims:
-            # A predicate that wrongly claims a neighbour makes the
-            # construction raise; record that and go on to the other checks.
-            try:
-                c = witness.common_neighbor(p, a, b)
-            except NoCommonNeighbor as exc:
-                _check(res, "common_neighbor", False, f"x={x}: no witness constructed: {exc}", count=0)
-            else:
-                adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
-                rc = graphio.rank(p, c)
-                _check(res, "common_neighbor", adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
-                       f"x={x}: constructed witness {c} is not a shared neighbor", count=0)
+        try:
+            c = witness.common_neighbor(p, a, b)
+        except NoCommonNeighbor as exc:
+            _check(res, "common_neighbor", not claims, f"x={x}: no witness constructed: {exc}", count=0)
         else:
-            _check(res, "common_neighbor", _raises(NoCommonNeighbor, witness.common_neighbor, p, a, b),
-                   f"x={x}: expected NoCommonNeighbor", count=0)
+            rc = graphio.rank(p, c)
+            adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
+            _check(res, "common_neighbor", claims and adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
+                   f"x={x}: constructed witness {c} is not a shared neighbor" if claims
+                   else f"x={x}: expected NoCommonNeighbor", count=0)
 
     cyc = witness.shortest_cycle(p)
     _check(res, "witness", witness.verify_walk(p, cyc) and cyc.claimed_length == rep.girth,
@@ -197,8 +179,6 @@ def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
     ow = witness.odd_closed_walk(p)
     _check(res, "witness", witness.verify_walk(p, ow) and ow.claimed_length == rep.odd_girth,
            f"odd walk length {ow.claimed_length} != odd girth {rep.odd_girth}")
-    _check(res, "witness", witness.geodesic(p, a0, a0).claimed_length == 0,
-           "self geodesic not length 0", count=0)
 
 
 def _check_max_route(res: TripleResult, p: Parameters) -> None:
@@ -244,6 +224,26 @@ def _check_pairing(res: TripleResult, g: oracle.ExplicitGraph) -> None:
     _check(res, "matching", exact, "a vertex's only neighbor is not its complement")
 
 
+def _check_matching(res: TripleResult, p: Parameters, rep, measured, g) -> None:
+    """Every check on a matching (2k,k,0), the class the paper excludes: its
+    pairing, its report, and witnesses for its edges, partial overlaps and cycles."""
+    _check_pairing(res, g)
+    _check(res, "matching", p.k < 2 or rep.diameter == INFINITE,
+           "diameter should be infinite", count=0)
+    _check(res, "matching", p.k < 2 or not measured.connected, "oracle says connected", count=0)
+    _check(res, "matching", rep.girth is None and rep.odd_girth is None,
+           "girth/odd girth should be undefined", count=0)
+    w = witness.geodesic(p, *witness.canonical_pair(p, 0))
+    _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == 1,
+           "matching edge geodesic invalid")
+    if p.k >= 2:
+        _check(res, "witness", _raises(Disconnected, witness.geodesic, p, *witness.canonical_pair(p, 1)),
+               "expected Disconnected for partial overlap")
+    for op in (witness.shortest_cycle, witness.odd_closed_walk):
+        _check(res, "witness", _raises(DegenerateClass, op, p),
+               f"{op.__name__} should reject a matching")
+
+
 def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     rep = invariant_report(p)
     g = oracle.build_graph(p, max_vertices)
@@ -260,7 +260,7 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
         for x in intersection_range(p)
     }
     thin = [s for x, s in class_sizes.items() if x != p.k]
-    many = n <= SMALL_GRAPH_FULL_CHECK or (thin and min(thin) * 3 < MIN_PAIR_SAMPLES)
+    many = n <= SMALL_GRAPH_FULL_CHECK or min(thin) * 3 < MIN_PAIR_SAMPLES
     want_sources = min(n, MIN_PAIR_SAMPLES) if many else 4
     searches = [oracle.search(g, s) for s in oracle._sources(p.v, p.k, p.i, n, want_sources)]
 
@@ -281,10 +281,6 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     for name, want in _compared(rep).items():
         _check(res, name, want == got[name], f"formula {want}, oracle {got[name]}",
                count=len(profile) if name == "distance_profile" else 1)
-    if not p.is_degenerate and p.graph_class is not GraphClass.MATCHING:
-        peak = max(rep.distance_profile.values())
-        _check(res, "diameter", rep.diameter == peak,
-               f"diameter {rep.diameter} != profile max {peak}", count=0)
 
     # Sampled pairs: each (source, vertex) pair is one sample for its class;
     # report_from_graph has agreed every source's profile.
@@ -298,28 +294,24 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
 
     _check_lower_bound(res, p, profile, pairs)
 
-    # Distance-2 criterion: beyond adjacency, two vertices are at distance
-    # exactly 2 iff they have a common neighbor.
     if not p.is_degenerate:
+        # Distance-2 criterion: beyond adjacency, two vertices are at
+        # distance exactly 2 iff they have a common neighbor.
         for x, dval in profile.items():
             if dval != 0 and dval != 1:
                 _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
                        f"x={x}: distance {dval} contradicts predicate")
-
-    if p.graph_class is GraphClass.MATCHING:
-        _check_pairing(res, g)
-        _check(res, "matching", p.k < 2 or rep.diameter == INFINITE,
-               "diameter should be infinite", count=0)
-        _check(res, "matching", p.k < 2 or not measured.connected, "oracle says connected", count=0)
-        _check(res, "matching", rep.girth is None and rep.odd_girth is None,
-               "girth/odd girth should be undefined", count=0)
-
-    # Witnesses for v < 2k are checked in tests/test_witness.py; checking them
-    # here would change the per-triple tallies in perfbench/expected/sweep.json.
-    if p.is_normalized and not p.is_degenerate:
-        _check_witnesses(res, p, rep, g)
-    if not p.is_degenerate and p.graph_class is not GraphClass.MATCHING:
-        _check_max_route(res, p)
+        if p.graph_class is GraphClass.MATCHING:
+            _check_matching(res, p, rep, measured, g)
+        else:
+            peak = max(rep.distance_profile.values())
+            _check(res, "diameter", rep.diameter == peak,
+                   f"diameter {rep.diameter} != profile max {peak}", count=0)
+            # Witnesses for v < 2k are checked in tests/test_witness.py; here they
+            # would change the per-triple tallies in perfbench/expected/sweep.json.
+            if p.is_normalized:
+                _check_witnesses(res, p, rep, g)
+            _check_max_route(res, p)
     _check_rank_roundtrip(res, p, n)
 
 

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import gjg.oracle
+import gjg.sweep
 import gjg.witness
 from gjg.cli import _build_parser, main
 
@@ -342,6 +344,35 @@ class TestVerify:
         _, serial, _ = run(capsys, "verify", "--v-max", "5")
         _, parallel, _ = run(capsys, "verify", "--v-max", "5", "--jobs", "2")
         assert serial == parallel
+
+    def test_failed_triple_prints_its_messages(self, capsys, monkeypatch):
+        # The closed-form girth of J(5,2,0) alone is wrong; the oracle measures 5.
+        real = gjg.sweep.invariant_report
+        monkeypatch.setattr(gjg.sweep, "invariant_report",
+                            lambda p: real(p)._replace(girth=9) if str(p) == "J(5,2,0)" else real(p))
+        code, out, _ = run(capsys, "verify", "--v-max", "5")
+        assert code == 1
+        assert "FAIL J(5,2,0) class=odd_graph n=10 checks=168\n     girth: formula 9, oracle 5\n" in out
+        assert out.count("FAIL") == 1
+        assert out.endswith("total: 20 triples, 19 passed, 1 failed, 1413 individual checks\n")
+
+    def test_failed_complement_prints_its_messages(self, capsys, monkeypatch):
+        # Each lifted triple is compared with itself at a shift of 2k - v.
+        monkeypatch.setattr(gjg.sweep, "normalize", lambda p: p)
+        code, out, _ = run(capsys, "verify", "--v-max", "5")
+        assert code == 1
+        assert "FAIL" not in out
+        assert ("complement isomorphism: 5 pairs checked, 5 failures\n"
+                "     J(3,2,1) disagrees with its complement form\n") in out
+        assert "     J(5,4,3) disagrees with its complement form\ninterface checks:" in out
+
+    def test_failed_interface_prints_its_messages(self, capsys, monkeypatch):
+        monkeypatch.setattr(gjg.oracle, "oracle_distance", lambda g, x: 3)
+        code, out, _ = run(capsys, "verify", "--v-max", "5")
+        assert code == 1
+        assert "FAIL" not in out
+        assert ("interface checks: 6 run, 1 failures\n"
+                "     interface: agreed distance on J(5,2,0)\ntotal:") in out
 
 
 def _console(*argv: str, env, **popen) -> subprocess.Popen:

@@ -50,6 +50,11 @@ class TestCommonNeighbor:
         with pytest.raises(OutOfRange):
             has_common_neighbor(P(5, 2, 0), 3)
 
+    @pytest.mark.parametrize("triple", [(4, 3, 0), (3, 3, 0), (4, 2, 2)])
+    def test_degenerate_raises(self, triple):
+        with pytest.raises(DegenerateClass, match="has no edges"):
+            has_common_neighbor(P(*triple), triple[1])
+
 
 class TestGirth:
     # Frozen from the closed form and confirmed by the oracle sweep.
@@ -199,6 +204,11 @@ class TestMaxRouteDistance:
     def test_johnson_unsupported(self):
         with pytest.raises(Unsupported):
             max_route_distance(P(8, 3, 2))
+
+    @pytest.mark.parametrize("triple", [(4, 3, 0), (3, 3, 0), (6, 3, 0), (2, 1, 0)])
+    def test_degenerate_or_matching_raises(self, triple):
+        with pytest.raises(DegenerateClass, match="has no route-distance function"):
+            max_route_distance(P(*triple))
 
 
 class TestInvariantReport:

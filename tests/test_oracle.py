@@ -36,6 +36,14 @@ from gjg.params import make_parameters
 P = make_parameters
 
 
+@pytest.fixture
+def fresh_memory():
+    """Forget the cached physical memory when the test ends, so a value read
+    under patched limits reaches no later test."""
+    yield
+    gjg.oracle._physical_memory.cache_clear()
+
+
 class TestBuildGraph:
     def test_petersen_shape(self):
         g = build_graph(P(5, 2, 0))
@@ -79,6 +87,19 @@ class TestBuildGraph:
             want = math.comb(p.k, p.i) * math.comb(p.v - p.k, p.k - p.i)
             degs = [g.neighbors(u).size for u in range(g.n)]
             assert degs == [want] * g.n
+
+    def test_a_row_of_the_wrong_degree_raises(self, monkeypatch):
+        # Every counted row's degree is checked as it is built.
+        real = gjg.oracle._overlap_is
+
+        def first_row_dropped(*args):
+            hit = real(*args)
+            hit[0] = 0
+            return hit
+
+        monkeypatch.setattr(gjg.oracle, "_overlap_is", first_row_dropped)
+        with pytest.raises(AssertionError, match=re.escape("J(5,2,0): degrees [0 3] != C(k,i)*C(v-k,k-i) = 3")):
+            build_graph(P(5, 2, 0))
 
     def test_rows_match_all_pairs_popcount(self):
         # Reference: the all-pairs mask popcount that the bit-sliced
@@ -172,18 +193,52 @@ class TestBuildGraph:
         ("max\n", "1048576\n", True),
         (None, None, False),
     ])
-    def test_physical_memory_is_capped_by_the_cgroup_limit(self, monkeypatch, tmp_path, v2, v1, capped):
+    def test_physical_memory_is_capped_by_the_cgroup_limit(self, monkeypatch, tmp_path, fresh_memory,
+                                                          v2, v1, capped):
         paths = []
         for name, text in [("memory.max", v2), ("memory.limit_in_bytes", v1)]:
             paths.append(str(tmp_path / name))
             if text is not None:
                 (tmp_path / name).write_text(text)
         monkeypatch.setattr(gjg.oracle, "_CGROUP_LIMITS", tuple(paths))
+        gjg.oracle._physical_memory.cache_clear()  # read again under the patched paths
         sysconf = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         assert gjg.oracle._physical_memory() == (1048576 if capped else sysconf)
         if capped:
             with pytest.raises(BudgetExceeded, match="physical memory 1048576"):
                 build_graph(P(14, 7, 3))  # adj is 1.47 MB
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_physical_memory_without_sysconf(self, monkeypatch, tmp_path, fresh_memory, error):
+        # Where the OS cannot say, only a cgroup limit bounds the memory.
+        def no_sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", no_sysconf)
+        limit = tmp_path / "memory.max"
+        monkeypatch.setattr(gjg.oracle, "_CGROUP_LIMITS", (str(limit),))
+        gjg.oracle._physical_memory.cache_clear()
+        assert gjg.oracle._physical_memory() == INFINITE
+        limit.write_text("1048576\n")
+        gjg.oracle._physical_memory.cache_clear()
+        assert gjg.oracle._physical_memory() == 1048576
+
+    def test_physical_memory_is_read_once_per_process(self, monkeypatch, tmp_path, fresh_memory):
+        paths = (str(tmp_path / "memory.max"), str(tmp_path / "memory.limit_in_bytes"))
+        (tmp_path / "memory.max").write_text("max\n")
+        monkeypatch.setattr(gjg.oracle, "_CGROUP_LIMITS", paths)
+        gjg.oracle._physical_memory.cache_clear()
+        opened = []
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(gjg.oracle, "open", counted_open, raising=False)
+        build_graph(P(5, 2, 0))
+        assert opened == list(paths)
+        build_graph(P(6, 3, 1))
+        assert opened == list(paths)
 
     def test_builds_within_physical_memory(self, monkeypatch):
         monkeypatch.setattr(gjg.oracle, "_physical_memory", lambda: 4 << 20)

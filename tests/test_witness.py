@@ -1,6 +1,8 @@
 import hashlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +424,45 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _longer(real):
+    def longer(p, a, b):
+        w = real(p, a, b)
+        return w._replace(claimed_length=w.claimed_length + 1)
+    return longer
+
+
+class TestSelfChecks:
+    # Each construction checks its result and raises AssertionError when the
+    # check fails; patching the name a check reads reaches each raise.
+    @pytest.mark.parametrize("name, skew, construct, message", [
+        ("distance_by_intersection", lambda real: lambda p, x: real(p, x) + 1,
+         lambda: geodesic(P(8, 4, 1), *canonical_pair(P(8, 4, 1), 0)), "route of length 3, distance 4"),
+        ("verify_walk", lambda real: lambda p, w: False,
+         lambda: shortest_cycle(P(9, 4, 1)), "shortest_cycle built an invalid cycle for J(9,4,1)"),
+        ("verify_walk", lambda real: lambda p, w: False,
+         lambda: odd_closed_walk(P(9, 4, 1)), "odd_closed_walk built an invalid walk for J(9,4,1)"),
+        ("geodesic", _longer, lambda: odd_closed_walk(P(8, 4, 1)), "legs of length 3 and 3, expected 2"),
+        ("odd_girth", lambda real: lambda p: real(p) + 2,
+         lambda: odd_closed_walk(P(9, 4, 1)), "walk length 3, odd girth 5"),
+    ], ids=["geodesic", "shortest_cycle", "odd_closed_walk", "odd_walk_legs", "odd_walk_length"])
+    def test_failed_check_raises(self, monkeypatch, name, skew, construct, message):
+        monkeypatch.setattr(gjg.witness, name, skew(getattr(gjg.witness, name)))
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            construct()
+
+    def test_failed_check_raises_under_python_o(self, src_env):
+        code = ("import sys, gjg.witness as w\n"
+                "from gjg.params import make_parameters\n"
+                "w.verify_walk = lambda p, walk: False\n"
+                "try:\n"
+                "    w.shortest_cycle(make_parameters(9, 4, 1))\n"
+                "except AssertionError as exc:\n"
+                "    print(sys.flags.optimize, exc)\n")
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env=src_env, check=True, timeout=60)
+        assert done.stdout == "1 shortest_cycle built an invalid cycle for J(9,4,1)\n"
 
 
 # Every triple with v <= 12 (degenerate and lifted ones included) and four
