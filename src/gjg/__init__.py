@@ -28,7 +28,6 @@ from .errors import (
     Unsupported,
 )
 from .formulas import (
-    InvariantReport,
     diameter,
     distance_by_intersection,
     girth,
@@ -42,6 +41,7 @@ from .graphio import export_graph, export_report, rank, unrank
 from .params import (
     INFINITE,
     GraphClass,
+    InvariantReport,
     Parameters,
     delta,
     intersection_range,

@@ -12,12 +12,12 @@ Infinite distances are math.inf, undefined cycle lengths are None.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DegenerateClass, Unsupported
 from .params import (
     INFINITE,
     GraphClass,
+    InvariantReport,
     Parameters,
     delta,
     intersection_range,
@@ -124,16 +124,6 @@ def max_route_distance(p: Parameters) -> int:
     if p.k == p.i + 1:
         raise Unsupported("defined only for k > i + 1")
     return ceil_div(p.k - p.i - 1, delta(p)) + 1
-
-
-class InvariantReport(NamedTuple):
-    """Formula-side invariants; distance_profile maps |A ∩ B| to dist(A,B)."""
-
-    params: Parameters
-    girth: int | None
-    odd_girth: int | None
-    diameter: int | float
-    distance_profile: dict[int, int | float]
 
 
 def _degenerate_report(p: Parameters) -> InvariantReport:

@@ -16,13 +16,12 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .params import INFINITE, Parameters, delta, rank_index, vertex
+from .params import INFINITE, InvariantReport, Parameters, delta, rank_index, vertex
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from .formulas import InvariantReport
-    from .oracle import ExplicitGraph, OracleReport
+    from .oracle import ExplicitGraph
 
 REPORT_SCHEMA = "gjg.report/1"
 
@@ -136,12 +135,12 @@ def format_value(x) -> str:
     return str(x)
 
 
-def export_report(r: "InvariantReport | OracleReport") -> bytes:
+def export_report(r: InvariantReport) -> bytes:
     """Line-oriented key/value rendering of a report, stable key order.
 
     Keys: schema, v, k, i, delta, class, girth, odd_girth, diameter,
-    distance_profile (one indented line per |A ∩ B|), and
-    connected for oracle-side reports.
+    distance_profile (one indented line per |A ∩ B|), and connected
+    when the report carries a measured connectivity.
     """
     p = r.params
     lines = [
@@ -158,7 +157,6 @@ def export_report(r: "InvariantReport | OracleReport") -> bytes:
     ]
     for x in sorted(r.distance_profile):
         lines.append(f"  {x}: {format_value(r.distance_profile[x])}")
-    connected = getattr(r, "connected", None)
-    if connected is not None:
-        lines.append(f"connected: {format_value(connected)}")
+    if r.connected is not None:
+        lines.append(f"connected: {format_value(r.connected)}")
     return ("\n".join(lines) + "\n").encode("ascii")

@@ -36,7 +36,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, Unsupported
-from .params import INFINITE, Parameters, intersection_range, intersection_size, rank_index
+from .params import (INFINITE, InvariantReport, Parameters, intersection_range, intersection_size,
+                     rank_index)
 
 DEFAULT_VERTEX_BUDGET = 20_000
 MAX_GROUND_SET = 64
@@ -398,24 +399,15 @@ def oracle_distance(g: ExplicitGraph, x: int):
     return report_from_graph(g).distance_profile[intersection_size(g.params, x)]
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Measured counterparts of the closed-form invariants."""
-
-    params: Parameters
-    girth: int | None
-    odd_girth: int | None
-    diameter: int | float
-    distance_profile: dict[int, int | float]
-    connected: bool
+OracleReport = InvariantReport  # a measured report; connected is never None
 
 
-def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> OracleReport:
+def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> InvariantReport:
     """Build the graph and measure everything by search."""
     return report_from_graph(build_graph(p, vertex_budget))
 
 
-def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None) -> OracleReport:
+def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None) -> InvariantReport:
     """Profile, girth and odd girth agreed between the given searches, one
     per source (by default the canonical vertex and _CROSS_CHECKS seeded
     extras), and the diameter read from that profile.  Vertex transitivity
@@ -433,7 +425,7 @@ def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None
         return values[0]
 
     profile = agreed("distance profile", [distance_profile(g, s) for s in searches])
-    return OracleReport(
+    return InvariantReport(
         params=p,
         girth=agreed("girth", [s.girth for s in searches]),
         odd_girth=agreed("odd girth", [s.odd_girth for s in searches]),

@@ -8,7 +8,8 @@ witness constructions read the normal form v >= 2k that :func:`normalize`
 reaches by complementing every vertex set.  A vertex is
 what :func:`vertex` accepts, an intersection size what
 :func:`intersection_size` accepts, a rank what :func:`rank_index` accepts;
-every entry point that takes one asks it.
+every entry point that takes one asks it.  A report is an
+:class:`InvariantReport`, whichever ground truth made it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ class Parameters(NamedTuple):
     @property
     def is_normalized(self) -> bool:
         return self.v >= 2 * self.k
+
+
+class InvariantReport(NamedTuple):
+    """The invariants of one triple, closed-form or measured:
+    distance_profile maps |A ∩ B| to dist(A,B).  connected is the measured
+    connectivity; a closed-form report leaves it None."""
+
+    params: Parameters
+    girth: int | None
+    odd_girth: int | None
+    diameter: int | float
+    distance_profile: dict[int, int | float]
+    connected: bool | None = None
 
 
 def _classify(v: int, k: int, i: int) -> GraphClass:

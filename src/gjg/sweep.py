@@ -27,7 +27,7 @@ import numpy as np
 
 from . import formulas, graphio, oracle, witness
 from .errors import DegenerateClass, Disconnected, NoCommonNeighbor, OutOfRange
-from .formulas import INFINITE, invariant_report
+from .formulas import INFINITE, InvariantReport, invariant_report
 from .params import GraphClass, Parameters, delta, intersection_range, make_parameters, normalize
 
 MIN_PAIR_SAMPLES = 10
@@ -79,7 +79,7 @@ class TripleResult:
     failures: list[str] = field(default_factory=list)
     # The oracle's agreed measurements, kept for the complement comparison;
     # None when the triple failed before they were agreed.
-    measured: oracle.OracleReport | None = None
+    measured: InvariantReport | None = None
 
     @property
     def passed(self) -> bool:
@@ -346,7 +346,8 @@ def check_complements(results: list[TripleResult]) -> tuple[int, list[str]]:
 
 def check_interfaces(cfg: SweepConfig) -> tuple[int, list[str]]:
     """Exercise the serialization surface and the bundled oracle queries on
-    fixed small graphs with known golden output."""
+    fixed small graphs with known golden output; a probe that raises ends
+    them with a failure naming the exception."""
     checked, failures = 0, []
 
     def probe(cond: bool, label: str) -> None:
@@ -355,30 +356,33 @@ def check_interfaces(cfg: SweepConfig) -> tuple[int, list[str]]:
         if not cond:
             failures.append(f"interface: {label}")
 
-    if cfg.v_max >= 5 and cfg.max_vertices >= 10:
-        p = make_parameters(5, 2, 0)
-        g = oracle.build_graph(p, cfg.max_vertices)
-        dimacs = graphio.export_graph(g, "dimacs")
-        probe(dimacs.startswith(b"p edge 10 15\n"), "dimacs header for J(5,2,0)")
-        probe(len(dimacs.splitlines()) == 16, "dimacs line count for J(5,2,0)")
-        probe(oracle.oracle_distance(g, 1) == 2, "agreed distance on J(5,2,0)")
-        rep = oracle.oracle_report(p, cfg.max_vertices)
-        probe(
-            (rep.girth, rep.odd_girth, rep.diameter, rep.connected) == (5, 5, 2, True),
-            "oracle report bundle for J(5,2,0)",
-        )
-        payload = graphio.export_report(rep).decode()
-        probe(payload.startswith("schema: "), "report schema line")
-        probe("connected: true" in payload, "report connectivity field")
-    if cfg.v_max >= 6 and cfg.max_vertices >= 20:
-        p = make_parameters(6, 3, 0)
-        g = oracle.build_graph(p, cfg.max_vertices)
-        edges = graphio.export_graph(g, "edgelist").decode().splitlines()
-        probe(len(edges) == g.n * g.degree // 2 == 10, "edgelist size for J(6,3,0)")
-        probe(edges[0] == "0 19", "first matching edge by rank")
-        payload = graphio.export_report(invariant_report(p)).decode()
-        probe("diameter: infinite" in payload and "girth: undefined" in payload,
-              "degenerate literals in report")
+    try:
+        if cfg.v_max >= 5 and cfg.max_vertices >= 10:
+            p = make_parameters(5, 2, 0)
+            g = oracle.build_graph(p, cfg.max_vertices)
+            dimacs = graphio.export_graph(g, "dimacs")
+            probe(dimacs.startswith(b"p edge 10 15\n"), "dimacs header for J(5,2,0)")
+            probe(len(dimacs.splitlines()) == 16, "dimacs line count for J(5,2,0)")
+            probe(oracle.oracle_distance(g, 1) == 2, "agreed distance on J(5,2,0)")
+            rep = oracle.oracle_report(p, cfg.max_vertices)
+            probe(
+                (rep.girth, rep.odd_girth, rep.diameter, rep.connected) == (5, 5, 2, True),
+                "oracle report bundle for J(5,2,0)",
+            )
+            payload = graphio.export_report(rep).decode()
+            probe(payload.startswith("schema: "), "report schema line")
+            probe("connected: true" in payload, "report connectivity field")
+        if cfg.v_max >= 6 and cfg.max_vertices >= 20:
+            p = make_parameters(6, 3, 0)
+            g = oracle.build_graph(p, cfg.max_vertices)
+            edges = graphio.export_graph(g, "edgelist").decode().splitlines()
+            probe(len(edges) == g.n * g.degree // 2 == 10, "edgelist size for J(6,3,0)")
+            probe(edges[0] == "0 19", "first matching edge by rank")
+            payload = graphio.export_report(invariant_report(p)).decode()
+            probe("diameter: infinite" in payload and "girth: undefined" in payload,
+                  "degenerate literals in report")
+    except Exception as exc:  # a crash is a failed interface, not a crashed sweep
+        failures.append(f"interface: {type(exc).__name__}: {exc}")
     return checked, failures
 
 

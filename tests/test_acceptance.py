@@ -5,6 +5,9 @@ Each criterion prints its own PASS/FAIL line; all comparisons are exact
 integer equality (tolerance 0).
 """
 
+import json
+import pathlib
+
 from conftest import ACCEPTANCE_LINES
 
 from gjg.formulas import INFINITE, report_for
@@ -144,3 +147,21 @@ def test_every_sweep_check_green(full_sweep):
     bad += full_sweep.interface_failures
     total = full_sweep.total_checks
     _report("all", bad, f"{len(full_sweep.results)} triples, {total} checks")
+
+
+def test_per_category_tallies_match_the_recorded_sweep(full_sweep):
+    # The benchmark's record of the v <= 16 sweep: per triple its checks by
+    # category, vertex count and class, and the sweep's totals.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "sweep.json"
+    expected = json.loads(path.read_text())
+    got = {",".join(map(str, r.triple)): {"checks": r.checks, "class": r.graph_class, "n": r.n}
+           for r in full_sweep.results}
+    failures = [f"J({t}): {got.get(t)} != {want}"
+                for t, want in expected["triples"].items() if got.get(t) != want]
+    failures += [f"J({t}) not recorded" for t in got.keys() - expected["triples"].keys()]
+    totals = {"complement_checked": full_sweep.complement_checked,
+              "interface_checked": full_sweep.interface_checked,
+              "total_checks": full_sweep.total_checks, "triples": len(full_sweep.results)}
+    if totals != expected["sweeps"]["16"]:
+        failures.append(f"totals {totals} != {expected['sweeps']['16']}")
+    _report("tallies", failures, f"{len(got)} triples as recorded, {totals['total_checks']} checks")

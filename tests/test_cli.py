@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import gjg.graphio
 import gjg.oracle
 import gjg.sweep
 import gjg.witness
@@ -373,6 +374,18 @@ class TestVerify:
         assert "FAIL" not in out
         assert ("interface checks: 6 run, 1 failures\n"
                 "     interface: agreed distance on J(5,2,0)\ntotal:") in out
+
+    def test_raising_interface_probe_is_a_failure(self, capsys, monkeypatch):
+        # Every export is empty, so the J(6,3,0) probe indexes an empty edge list.
+        monkeypatch.setattr(gjg.graphio, "export_graph", lambda g, fmt: b"")
+        code, out, err = run(capsys, "verify", "--v-max", "6")
+        assert (code, err) == (1, "")
+        assert "FAIL" not in out
+        assert ("interface checks: 7 run, 4 failures\n"
+                "     interface: dimacs header for J(5,2,0)\n"
+                "     interface: dimacs line count for J(5,2,0)\n"
+                "     interface: edgelist size for J(6,3,0)\n"
+                "     interface: IndexError: list index out of range\ntotal:") in out
 
 
 def _console(*argv: str, env, **popen) -> subprocess.Popen:

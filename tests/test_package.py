@@ -1,5 +1,5 @@
 """The package namespace: every name in gjg.__all__, including the oracle's,
-which load on first access; and the records the graph-free layer returns."""
+which load on first access; and the named-tuple records the library returns."""
 
 import pickle
 
@@ -58,11 +58,12 @@ def test_first_access_from_eight_threads_gets_one_object(fresh):
     assert fresh(code) == ["8", "1", "True"]
 
 
-# Two equal but distinct instances of each record the graph-free layer
-# returns, and a field with a value to put in it.
+# Two equal but distinct instances of each named-tuple record, and a field
+# with a value to put in it.
 RECORDS = {
     "Parameters": (lambda: gjg.make_parameters(10, 4, 2), "k", 3),
     "InvariantReport": (lambda: gjg.report_for(9, 4, 1), "girth", 4),
+    "OracleReport": (lambda: gjg.oracle_report(gjg.make_parameters(5, 2, 0)), "connected", False),
     "Walk": (lambda: gjg.geodesic(gjg.make_parameters(10, 4, 2), (0, 1, 2, 3), (0, 4, 5, 6)),
              "claimed_length", 1),
 }
@@ -79,7 +80,7 @@ def test_record_fields_cannot_be_set(name):
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_survives_a_pickle_round_trip(name):
-    # OracleReport.params crosses the sweep's process pool.
+    # A measured report crosses the sweep's process pool in TripleResult.measured.
     r = RECORDS[name][0]()
     back = pickle.loads(pickle.dumps(r))
     assert back == r and type(back) is type(r)
@@ -104,6 +105,18 @@ def test_replace_keeps_the_record_type(name):
     changed = r._replace(**{field: value})
     assert type(changed) is getattr(gjg, name)
     assert getattr(changed, field) == value and changed != r == make()
+
+
+def test_one_report_record_serves_both_ground_truths():
+    assert gjg.OracleReport is gjg.InvariantReport
+
+
+@pytest.mark.parametrize("triple, connected", [((5, 2, 0), True), ((6, 3, 0), False)],
+                         ids=["J(5,2,0)", "J(6,3,0)"])
+def test_only_the_oracle_reports_connectivity(triple, connected):
+    p = gjg.make_parameters(*triple)
+    assert gjg.invariant_report(p).connected is None
+    assert gjg.oracle_report(p).connected is connected
 
 
 def test_record_equals_the_plain_tuple_of_its_fields():
