@@ -6,6 +6,8 @@ checks every closed-form value, every witness construction, and every
 module invariant against brute-force measurements.  The oracle measures
 and the sweep compares: every distance checked here is read from the
 profile that ``oracle.report_from_graph`` has agreed over all sources.
+The closed-form report is compared with it once; every later check reads
+only the measured report, so a wrong closed form fails one line.
 Witnesses are checked here only for v >= 2k; ``tests/test_witness.py``
 covers the lifted constructions for v < 2k.  Results carry the oracle's
 report so the complement isomorphism can be checked across triples
@@ -27,8 +29,9 @@ import numpy as np
 
 from . import formulas, graphio, oracle, witness
 from .errors import DegenerateClass, Disconnected, NoCommonNeighbor, OutOfRange
-from .formulas import INFINITE, InvariantReport, invariant_report
-from .params import GraphClass, Parameters, delta, intersection_range, make_parameters, normalize
+from .formulas import invariant_report
+from .params import (INFINITE, GraphClass, InvariantReport, Parameters, delta, intersection_range,
+                     make_parameters, normalize)
 
 MIN_PAIR_SAMPLES = 10
 SMALL_GRAPH_FULL_CHECK = 600
@@ -146,15 +149,15 @@ def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, pairs: d
                    f"x={x}: distance {dist} needs {2 * need + odd}", count=pairs[x])
 
 
-def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
-    """Geodesics, shortest cycle, odd walk, and common-neighbor claims,
-    all validated with verify_walk and against oracle adjacency."""
+def _check_witnesses(res: TripleResult, p: Parameters, measured, g) -> None:
+    """Geodesics, shortest cycle, odd walk and common-neighbor claims: each walk
+    passes verify_walk at exactly the measured length, each claim matches oracle adjacency."""
     for x in intersection_range(p):
         a, b = witness.canonical_pair(p, x)
         w = witness.geodesic(p, a, b)
-        want = rep.distance_profile[x]
+        want = measured.distance_profile[x]
         _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == want,
-               f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or formula {want}")
+               f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or measured {want}")
 
         # Common-neighbor construction against the packed adjacency rows; where a
         # wrongly claimed neighbour makes it raise, record that and go on.
@@ -174,19 +177,20 @@ def _check_witnesses(res: TripleResult, p: Parameters, rep, g) -> None:
                    else f"x={x}: expected NoCommonNeighbor", count=0)
 
     cyc = witness.shortest_cycle(p)
-    _check(res, "witness", witness.verify_walk(p, cyc) and cyc.claimed_length == rep.girth,
-           f"shortest_cycle length {cyc.claimed_length} != girth {rep.girth}")
+    _check(res, "witness", witness.verify_walk(p, cyc) and cyc.claimed_length == measured.girth,
+           f"shortest_cycle length {cyc.claimed_length} != measured girth {measured.girth}")
     ow = witness.odd_closed_walk(p)
-    _check(res, "witness", witness.verify_walk(p, ow) and ow.claimed_length == rep.odd_girth,
-           f"odd walk length {ow.claimed_length} != odd girth {rep.odd_girth}")
+    _check(res, "witness", witness.verify_walk(p, ow) and ow.claimed_length == measured.odd_girth,
+           f"odd walk length {ow.claimed_length} != measured odd girth {measured.odd_girth}")
 
 
-def _check_max_route(res: TripleResult, p: Parameters) -> None:
+def _check_max_route(res: TripleResult, p: Parameters, profile: dict) -> None:
+    """Closed-form maximum over x = i+1 .. k against the largest measured distance there."""
     if p.k - p.i < 2:
         return
-    exhaustive = max(formulas.distance_by_intersection(p, x) for x in range(p.i + 1, p.k + 1))
+    peak = max(profile[x] for x in range(p.i + 1, p.k + 1))
     closed = formulas.max_route_distance(p)
-    _check(res, "max_route", exhaustive == closed, f"exhaustive {exhaustive} != closed form {closed}")
+    _check(res, "max_route", peak == closed, f"measured {peak} != closed form {closed}")
 
 
 def _check_rank_roundtrip(res: TripleResult, p: Parameters, n: int) -> None:
@@ -224,14 +228,12 @@ def _check_pairing(res: TripleResult, g: oracle.ExplicitGraph) -> None:
     _check(res, "matching", exact, "a vertex's only neighbor is not its complement")
 
 
-def _check_matching(res: TripleResult, p: Parameters, rep, measured, g) -> None:
+def _check_matching(res: TripleResult, p: Parameters, measured, g) -> None:
     """Every check on a matching (2k,k,0), the class the paper excludes: its
-    pairing, its report, and witnesses for its edges, partial overlaps and cycles."""
+    pairing, its measured report, and witnesses for its edges, partial overlaps and cycles."""
     _check_pairing(res, g)
-    _check(res, "matching", p.k < 2 or rep.diameter == INFINITE,
-           "diameter should be infinite", count=0)
     _check(res, "matching", p.k < 2 or not measured.connected, "oracle says connected", count=0)
-    _check(res, "matching", rep.girth is None and rep.odd_girth is None,
+    _check(res, "matching", measured.girth is None and measured.odd_girth is None,
            "girth/odd girth should be undefined", count=0)
     w = witness.geodesic(p, *witness.canonical_pair(p, 0))
     _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == 1,
@@ -245,7 +247,6 @@ def _check_matching(res: TripleResult, p: Parameters, rep, measured, g) -> None:
 
 
 def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
-    rep = invariant_report(p)
     g = oracle.build_graph(p, max_vertices)
     n = g.n
 
@@ -277,8 +278,9 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     _check(res, "transitivity", True, "", count=3 * min(4, n))
     profile = measured.distance_profile
 
+    # The closed forms are read here only; every later check reads the measured report.
     got = _compared(measured)
-    for name, want in _compared(rep).items():
+    for name, want in _compared(invariant_report(p)).items():
         _check(res, name, want == got[name], f"formula {want}, oracle {got[name]}",
                count=len(profile) if name == "distance_profile" else 1)
 
@@ -302,16 +304,13 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
                 _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
                        f"x={x}: distance {dval} contradicts predicate")
         if p.graph_class is GraphClass.MATCHING:
-            _check_matching(res, p, rep, measured, g)
+            _check_matching(res, p, measured, g)
         else:
-            peak = max(rep.distance_profile.values())
-            _check(res, "diameter", rep.diameter == peak,
-                   f"diameter {rep.diameter} != profile max {peak}", count=0)
             # Witnesses for v < 2k are checked in tests/test_witness.py; here they
             # would change the per-triple tallies in perfbench/expected/sweep.json.
             if p.is_normalized:
-                _check_witnesses(res, p, rep, g)
-            _check_max_route(res, p)
+                _check_witnesses(res, p, measured, g)
+            _check_max_route(res, p, profile)
     _check_rank_roundtrip(res, p, n)
 
 

@@ -87,48 +87,72 @@ class TestCheckTriple:
         assert not r.passed
         assert any("BudgetExceeded" in msg for msg in r.failures)
 
-    @pytest.mark.parametrize("name, wrong", [
-        ("girth", 17), ("odd_girth", 9), ("diameter", 7), ("distance_profile", {0: 2, 1: 2, 2: 0}),
-    ], ids=["girth", "odd_girth", "diameter", "distance_profile"])
-    def test_detects_wrong_formula(self, monkeypatch, name, wrong):
+    @pytest.mark.parametrize("triple, name, wrong", [
+        ((5, 2, 0), "girth", 17), ((5, 2, 0), "odd_girth", 9), ((5, 2, 0), "diameter", 7),
+        ((5, 2, 0), "distance_profile", {0: 2, 1: 2, 2: 0}),
+        ((6, 3, 0), "diameter", 2), ((8, 4, 0), "girth", 4),
+    ], ids=["girth", "odd_girth", "diameter", "distance_profile", "matching_diameter", "matching_girth"])
+    def test_detects_wrong_formula(self, monkeypatch, triple, name, wrong):
         # Sabotage one field of the closed-form report; the oracle comparison
-        # must flag that field.  J(5,2,0) measures girth 5, odd girth 5,
-        # diameter 2 and profile {0: 1, 1: 2, 2: 0}.
+        # flags that field and nothing else, since every later check reads the
+        # measured report.  J(5,2,0) measures girth 5, odd girth 5, diameter 2
+        # and profile {0: 1, 1: 2, 2: 0}; the matchings J(6,3,0) and J(8,4,0)
+        # measure an infinite diameter and no girth.
         real = gjg.sweep.invariant_report
         monkeypatch.setattr(gjg.sweep, "invariant_report",
                             lambda p: real(p)._replace(**{name: wrong}))
-        r = check_triple(5, 2, 0)
-        got = getattr(real(make_parameters(5, 2, 0)), name)
-        assert f"{name}: formula {wrong}, oracle {got}" in r.failures, r.failures
+        r = check_triple(*triple)
+        got = getattr(real(make_parameters(*triple)), name)
+        assert r.failures == [f"{name}: formula {wrong}, oracle {got}"], r.failures
 
-    def test_detects_wrong_distance(self, monkeypatch):
+    @staticmethod
+    def _skew_distances(monkeypatch, *at):
+        """Add one to the closed-form distance at each (triple, x) in at."""
         import gjg.formulas
 
         real = gjg.formulas.distance_by_intersection
 
         def skewed(p, x):
             d = real(p, x)
-            return d + 1 if x == 0 else d
+            return d + 1 if ((p.v, p.k, p.i), x) in at else d
 
         monkeypatch.setattr(gjg.formulas, "distance_by_intersection", skewed)
-        r = check_triple(6, 2, 0)
-        assert not r.passed
+
+    def test_detects_wrong_distance(self, monkeypatch):
+        # A closed-form distance one too large at a single x fails the profile
+        # comparison alone: the witness and max-route checks read the measured
+        # profile, not the formula.
+        self._skew_distances(monkeypatch, ((6, 2, 0), 0), ((9, 4, 1), 2))
+        assert check_triple(6, 2, 0).failures == [
+            "distance_profile: formula {0: 2, 1: 2, 2: 0}, oracle {0: 1, 1: 2, 2: 0}"]
+        assert check_triple(9, 4, 1).failures == [
+            "distance_profile: formula {0: 3, 1: 1, 2: 3, 3: 2, 4: 0}, oracle {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}"]
 
     def test_detects_a_wrong_distance_read_on_a_lifted_triple(self, monkeypatch):
         # The formula side of J(7,4,2) is read on (7,4,2) itself, not on its
         # normal form J(7,3,1): a distance skewed only there at x = 1 fails.
-        import gjg.formulas
+        self._skew_distances(monkeypatch, ((7, 4, 2), 1))
+        assert check_triple(7, 4, 2).failures == [
+            "distance_profile: formula {1: 3, 2: 1, 3: 2, 4: 0}, oracle {1: 2, 2: 1, 3: 2, 4: 0}"]
 
-        real = gjg.formulas.distance_by_intersection
+    def test_a_wrong_measured_distance_fails_the_certificates(self, monkeypatch):
+        # Every source of J(9,4,1) measures x = 2 one too far.  The geodesic
+        # and the max-route closed form are checked against that measurement,
+        # so both fail besides the comparison and the distance-2 predicate.
+        real_profile = gjg.oracle.distance_profile
 
-        def skewed(p, x):
-            d = real(p, x)
-            return d + 1 if (p.v, p.k, p.i, x) == (7, 4, 2, 1) else d
+        def profile(g, found):
+            got = real_profile(g, found)
+            return {**got, 2: got[2] + 1}
 
-        monkeypatch.setattr(gjg.formulas, "distance_by_intersection", skewed)
-        r = check_triple(7, 4, 2)
-        assert "distance_profile: formula {1: 3, 2: 1, 3: 2, 4: 0}, oracle {1: 2, 2: 1, 3: 2, 4: 0}" \
-            in r.failures, r.failures
+        monkeypatch.setattr(gjg.oracle, "distance_profile", profile)
+        r = check_triple(9, 4, 1)
+        assert r.failures == [
+            "distance_profile: formula {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}, oracle {0: 3, 1: 1, 2: 3, 3: 2, 4: 0}",
+            "common_neighbor: x=2: distance 3 contradicts predicate",
+            "witness: geodesic at x=2 of length 2 fails verify_walk or measured 3",
+            "max_route: measured 3 != closed form 2",
+        ], r.failures
 
     @pytest.mark.parametrize("triple, sources", [((9, 4, 1), 10), ((12, 5, 2), 4)])
     def test_measures_each_source_profile_once(self, monkeypatch, triple, sources):
