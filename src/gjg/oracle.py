@@ -3,13 +3,15 @@
 Nothing here consults the closed-form module; girth, odd girth, diameter,
 and distances come from BFS on an explicitly materialized graph.  Vertices
 are bitmasks over ground sets of at most 64 elements, in colex rank order
-by the colex recurrence; the family, with the packed set of vertices that
-contain each element, is derived once per (v, k) and shared by every i.
-Adjacency is one packed bit matrix: row u has bit w set when |S_u ∩ S_w|
-equals i.  Row u counts, for every w at once, how many elements of S_u or
-of range(v) ∖ S_u, whichever is smaller, lie in S_w; no formula is
-consulted.  Counting over S_u keeps count i; counting over its complement
-keeps count k - i, because |S_w ∖ S_u| = k - |S_u ∩ S_w|.  Rows with no
+by the colex recurrence.  The family is derived once per (v, k) and shared
+by every i: the masks, and two half tables, one per half of the ground
+set, holding for each small subset T of that half and each a the packed
+set {w : |T ∩ S_w| = a}.  Adjacency is one packed bit matrix: row u has
+bit w set when |S_u ∩ S_w| equals i.  Row u counts, for every w at once,
+how many elements of S_u or of range(v) ∖ S_u, whichever is smaller, lie
+in S_w, by joining the two halves' tables; no formula is consulted.
+Counting over S_u keeps count i; counting over its complement keeps
+count k - i, because |S_w ∖ S_u| = k - |S_u ∩ S_w|.  Rows with no
 possible partner (i = k, or a target beyond v - k: the edgeless triples
 i < 2k - v) are zero and not counted at all.  Every search works on the
 rows directly, a BFS level being the OR of the frontier's rows.
@@ -114,82 +116,117 @@ class ExplicitGraph:
             yield (rows + r0)[at], ((cols + c0) * 8)[at] + (bits & 7)
 
 
-# One cached family per (v, k), shared by every i: (masks, member, elems, outside).
+# One cached family per (v, k), shared by every i: (masks, lo, hi, split).
 _FAMILY: dict = {}
 
 
+def _half(member: np.ndarray, everyone: np.ndarray, elements: range, s: int,
+          parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half table over one block of elements, and where each part starts.
+    For every subset T of the block with at most s elements, ordered by
+    size, then colex, the table holds |T| + 1 consecutive rows: row a of
+    them is the packed set {w : |T ∩ S_w| = a} as uint64 words.  ``parts``
+    are such subsets as masks shifted to the block's start; the index of
+    each one's first row is returned.
+
+    Filled level by level: T ∪ {e} meets S_w in a elements when T meets
+    it in a and e ∉ S_w, or in a - 1 and e ∈ S_w.  By the colex
+    recurrence the (j+1)-subsets whose largest element is the block's
+    m-th are the first C(m, j) j-subsets with that element added.  A
+    subset's key, |T| << 32 | T, is ascending in this order, so a part is
+    a binary search away."""
+    counts = [math.comb(len(elements), j) for j in range(min(s, len(elements)) + 1)]
+    table = np.zeros((sum((j + 1) * c for j, c in enumerate(counts)), everyone.size), dtype=np.uint64)
+    levels, starts, at = [], [], 0
+    for j, count in enumerate(counts):  # level j: the j-subsets, j + 1 rows each
+        levels.append(table[at : at + (j + 1) * count].reshape(count, j + 1, -1))
+        starts.append(np.arange(at, at + (j + 1) * count, j + 1))
+        at += (j + 1) * count
+    levels[0][0, 0] = everyone  # the empty set meets every S_w in 0 elements
+    keys = [np.zeros(1, dtype=np.uint64)]  # per level, ascending
+    for j, below in enumerate(levels[:-1]):
+        at, level = 0, []
+        for m, e in enumerate(elements[j:], j):
+            part, bit = below[: math.comb(m, j)], member[e]
+            added = levels[j + 1][at : at + part.shape[0]]
+            np.bitwise_and(part, ~bit, out=added[:, :-1])
+            added[:, 1:] |= part & bit
+            level.append(keys[j][: part.shape[0]] + np.uint64((1 << 32) + (1 << m)))
+            at += part.shape[0]
+        keys.append(np.concatenate(level))
+    size = np.bitwise_count(parts).astype(np.uint64)
+    return table, np.concatenate(starts)[np.searchsorted(np.concatenate(keys), size << np.uint64(32) | parts)]
+
+
 def _family(v: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The k-subsets of range(v) in colex order, derived once per (v, k):
-    ``masks[u]`` is S_u as a uint64 bitmask, ``member[e]`` the packed set
-    {w : e ∈ S_w} as uint64 words in ``np.packbits`` order (pad bits clear),
-    ``elems[u]`` lists S_u's elements, ascending, and ``outside[u]`` those
-    of range(v) ∖ S_u, ascending.  Colex recurrence: the j-subsets of
-    range(m+1) are those of range(m), then the (j-1)-subsets of range(m),
-    a prefix of the size before, with bit m set."""
+    """The k-subsets of range(v) in colex order and their half tables,
+    derived once per (v, k).  ``masks[u]`` is S_u as a uint64 bitmask.
+    Colex recurrence: the j-subsets of range(m+1) are those of range(m),
+    then the (j-1)-subsets of range(m), a prefix of the size before, with
+    bit m set.
+
+    A vertex's side is S_u when k <= v - k and range(v) ∖ S_u otherwise,
+    s = min(k, v - k) elements either way.  With h = v // 2, ``lo`` and
+    ``hi`` are the ``_half`` tables of range(h) and range(h, v) over every
+    w, pad bits clear.  Column u of ``split`` holds the first ``lo`` row
+    of L_u, u's side below h, the first ``hi`` row of H_u, the rest of
+    it, then |L_u| and |H_u|."""
     if (record := _FAMILY.get((v, k))) is not None:
         return record
+    _FAMILY.clear()  # keep at most one family resident, and free it before deriving the next
     masks = np.zeros(1, dtype=np.uint64)  # the one 0-subset
     for j in range(1, k + 1):  # a k-subset's j smallest elements lie in range(v-k+j)
         masks = np.concatenate([masks[: math.comb(m, j - 1)] | np.uint64(1 << m)
                                 for m in range(j - 1, v - k + j)])
     n = masks.size
-    member = np.zeros((v, (n + 63) // 64 * 8), dtype=np.uint8)
-    for e in range(v):
-        member[e, : (n + 7) // 8] = np.packbits(masks >> np.uint64(e) & np.uint64(1) != 0)
-    # Row u lists S_u's elements, then the others, each ascending: column c
-    # peels the lowest element left in S_u (c < k) or in its complement.
-    both = np.empty((n, v), dtype=np.uint8)
-    left = [masks.copy(), masks ^ np.uint64((1 << v) - 1)]
-    for c in range(v):
-        rest = left[c >= k]
-        low = rest & (np.uint64(0) - rest)
-        both[:, c] = np.bitwise_count(low - np.uint64(1))
-        rest ^= low
-    elems, outside = both[:, :k], both[:, k:]
-    # The recurrence must agree with graphio's combinadic rank on every row.
-    table = np.array([[math.comb(e, j) for j in range(1, k + 1)] for e in range(v)], dtype=np.int64)
-    ranks = sum((table[elems[:, j], j] for j in range(k)), np.zeros(n, dtype=np.int64))
-    if not np.array_equal(ranks, np.arange(n)):
+    # C(v,k) distinct k-subsets of range(v), ascending as integers, are all
+    # of them in colex order: row u is the vertex of graphio's rank u.
+    if not (n == math.comb(v, k) and np.all(masks[:-1] < masks[1:])
+            and np.all(np.bitwise_count(masks) == k) and int(masks[-1]) < 1 << v):
         raise AssertionError(f"colex enumeration out of rank order for (v={v}, k={k})")
-    record = masks, member.view(np.uint64), elems, outside
+    packed = np.zeros((v + 1, (n + 63) // 64 * 8), dtype=np.uint8)  # {w : e ∈ S_w} per e, then every w
+    for e in range(v):
+        packed[e, : (n + 7) // 8] = np.packbits(masks >> np.uint64(e) & np.uint64(1) != 0)
+    packed[v, : (n + 7) // 8] = np.packbits(np.ones(n, dtype=bool))
+    member, everyone = packed.view(np.uint64)[:v], packed.view(np.uint64)[v]
+    h, s = v // 2, min(k, v - k)
+    side = masks if k <= v - k else masks ^ np.uint64((1 << v) - 1)
+    low = side & np.uint64((1 << h) - 1)
+    lo, lrow = _half(member, everyone, range(h), s, low)
+    hi, hrow = _half(member, everyone, range(h, v), s, side >> np.uint64(h))
+    lsize = np.bitwise_count(low).astype(np.intp)
+    record = masks, lo, hi, np.stack([lrow, hrow, lsize, s - lsize])
     for table in record:  # shared by every graph of the family
         table.flags.writeable = False
-    _FAMILY.clear()  # keep at most one family resident; they can be large
     _FAMILY[(v, k)] = record
     return record
 
 
-def _overlap_is(member: np.ndarray, elems: np.ndarray, i: int) -> np.ndarray:
-    """Packed rows as uint64 words, one per row of elems: bit w is set when
-    exactly i of those elements lie in S_w.  Precondition: elems has at
-    least one column and 0 <= i <= its width; ``build_graph`` leaves every
-    other row zero without calling here.
+def _meeting(lo: np.ndarray, hi: np.ndarray, split: np.ndarray, s: int, t: int) -> np.ndarray:
+    """Packed rows as uint64 words, one per column of split: bit w is set
+    when exactly t elements of u's side lie in S_w.  Precondition:
+    0 <= t <= s, the side's size; ``build_graph`` leaves every other row
+    zero without calling here.
 
-    The member rows of the elements are summed bit-sliced: plane b holds
-    bit b of every column's count, and each member row is added by
-    ripple-carry.  A plane is added once the count can reach its bit, so
-    w elements need w.bit_length() planes.  A column's count is i when
-    every plane agrees with the matching bit of i: the planes where i's
-    bit is 0 are inverted in place, and the AND of all planes is the
-    result.
+    The side meets S_w in t elements exactly when, for one a, L_u meets it
+    in a and H_u in t - a, so the row is the OR over a of the half tables'
+    rows lo[L_u][a] & hi[H_u][t - a].  Only a from max(0, t - |H_u|) to
+    min(t, |L_u|) can hold a bit, at most min(t, s - t) + 1 values; a row
+    with fewer repeats its last.
     """
-    planes: list[np.ndarray] = []
-    spare = np.empty((elems.shape[0], member.shape[1]), dtype=np.uint64)
-    for j in range(elems.shape[1]):
-        carry = member[elems[:, j]]
-        for plane in planes:
-            np.bitwise_and(plane, carry, out=spare)  # carry out of this plane
-            plane ^= carry
-            carry, spare = spare, carry
-        if len(planes) < (j + 1).bit_length():
-            planes.append(carry)
-        del carry  # spent unless it became a plane: free it before the next fetch
-    hit = planes[0]
-    for b, plane in enumerate(planes):
-        if not (i >> b) & 1:
-            np.invert(plane, out=plane)
-        if b:
-            hit &= plane
+    lrow, hrow, lsize, hsize = split
+    first, last = np.maximum(t - hsize, 0), np.minimum(lsize, t)
+    hrow = hrow + t
+    hit = None
+    for j in range(min(t, s - t) + 1):
+        a = np.minimum(first + j, last)
+        term = lo.take(lrow + a, axis=0)
+        term &= hi.take(hrow - a, axis=0)
+        if hit is None:
+            hit = term
+        else:
+            hit |= term
+        del term  # spent: free it before the next term is gathered
     return hit
 
 
@@ -197,15 +234,16 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     """Materialize J(v,k,i): all C(v,k) vertices plus packed adjacency rows.
 
     Row u comes from counting, for every vertex w at once, how many
-    elements of S_u or of range(v) ∖ S_u, whichever is smaller, lie in S_w
-    (``_overlap_is``): set membership alone, with no formula consulted.
-    When k <= v - k the side is S_u and the row keeps the columns whose
-    count is i.  Otherwise the side is the complement, and since
-    |S_w ∖ S_u| = k - |S_u ∩ S_w|, the row keeps count k - i.  Rows with
-    no possible partner stay zero and are never counted: at i = k only S_u
-    meets S_u in k elements, and the edgeless triples' target k - i
-    exceeds the side's v - k.  Every counted row's degree is checked
-    against C(k,i)*C(v-k,k-i) as it is built.
+    elements of u's side, S_u or range(v) ∖ S_u, whichever is smaller,
+    lie in S_w: set membership alone, read from the family's half tables
+    (``_meeting``), with no formula consulted.  When k <= v - k the side
+    is S_u and the row keeps the columns whose count is i.  Otherwise the
+    side is the complement, and since |S_w ∖ S_u| = k - |S_u ∩ S_w|, the
+    row keeps count k - i.  Rows with no possible partner stay zero and
+    are never counted: at i = k only S_u meets S_u in k elements, and the
+    edgeless triples' target k - i exceeds the side's v - k.  Every
+    counted row's degree is checked against C(k,i)*C(v-k,k-i) as it is
+    built.
 
     Raises BudgetExceeded when C(v,k) > vertex_budget or the estimated
     bytes of the build exceed physical memory, and Unsupported for ground
@@ -216,25 +254,29 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     n = math.comb(p.v, p.k)
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
-    # Refuse before allocating: adj, the family tables (masks, member rows,
-    # the elements inside and outside each vertex) and the arrays live in
-    # one step, each step rows of uint64 words: _overlap_is's count planes,
-    # its spare and its carry.  The previous step's result and the spent
-    # carry are freed before the next step's arrays are allocated.
-    row = (n + 7) // 8
-    step = max(1, _SLAB // row)
-    planes = min(p.k, p.v - p.k).bit_length()
-    step_bytes = min(n, step) * ((n + 63) // 64) * 8
-    need = n * row + n * (8 + p.v + p.v) + step_bytes * (planes + 2)
+    # Refuse before allocating.  Counted, in bytes: adj; eight words per
+    # vertex (masks, split's four rows, and the scratch of deriving them);
+    # the member rows the tables are filled from; the two half tables, plus
+    # one of their largest levels as fill scratch; and the arrays live in
+    # one step: _meeting's result, its term and the gathered hi rows (each
+    # uint64 words), the degree count's bytes and eight per-row indices.
+    # The previous step's arrays are freed before the next step's are
+    # allocated.
+    row, words = (n + 7) // 8, (n + 63) // 64
+    step = min(n, max(1, _SLAB // row))
+    s = min(p.k, p.v - p.k)
+    levels = [(j + 1) * math.comb(m, j) for m in (p.v // 2, p.v - p.v // 2) for j in range(min(s, m) + 1)]
+    need = (n * row + n * 8 * 8 + (p.v + 1 + sum(levels) + max(levels)) * words * 8
+            + step * (words * (3 * 8 + 1) + 8 * 8))
     if need > (memory := _physical_memory()):
         raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")
-    masks, member, elems, outside = _family(p.v, p.k)
-    side, target = (elems, p.i) if p.k <= p.v - p.k else (outside, p.k - p.i)
+    masks, lo, hi, split = _family(p.v, p.k)
+    target = p.i if p.k <= p.v - p.k else p.k - p.i
     g = ExplicitGraph(p, n, np.zeros((n, row), dtype=np.uint8), masks)
-    if p.i < p.k and target <= side.shape[1]:
+    if p.i < p.k and target <= s:
         pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
         for r0 in range(0, n, step):
-            hit = _overlap_is(member, side[r0 : r0 + step], target)
+            hit = _meeting(lo, hi, split[:, r0 : r0 + step], s, target)
             packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order
             packed[:, row - 1] &= pad
             packed[:, row:] = 0

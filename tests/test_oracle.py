@@ -90,14 +90,14 @@ class TestBuildGraph:
 
     def test_a_row_of_the_wrong_degree_raises(self, monkeypatch):
         # Every counted row's degree is checked as it is built.
-        real = gjg.oracle._overlap_is
+        real = gjg.oracle._meeting
 
         def first_row_dropped(*args):
             hit = real(*args)
             hit[0] = 0
             return hit
 
-        monkeypatch.setattr(gjg.oracle, "_overlap_is", first_row_dropped)
+        monkeypatch.setattr(gjg.oracle, "_meeting", first_row_dropped)
         with pytest.raises(AssertionError, match=re.escape("J(5,2,0): degrees [0 3] != C(k,i)*C(v-k,k-i) = 3")):
             build_graph(P(5, 2, 0))
 
@@ -131,12 +131,12 @@ class TestBuildGraph:
         # that are decided before counting; J(5,2,0) shows the count is seen.
         calls = Counter()
 
-        def counted(member, elems, i):
-            calls[elems.shape[1], i] += 1
-            return real(member, elems, i)
+        def counted(lo, hi, split, s, t):
+            calls[s, t] += 1  # (side size, target)
+            return real(lo, hi, split, s, t)
 
-        real = gjg.oracle._overlap_is
-        monkeypatch.setattr(gjg.oracle, "_overlap_is", counted)
+        real = gjg.oracle._meeting
+        monkeypatch.setattr(gjg.oracle, "_meeting", counted)
         for t in [(4, 2, 2), (64, 63, 63), (15, 10, 3), (5, 5, 2)]:
             g = build_graph(P(*t))
             assert not g.adj.any() and g.degree == 0, t
@@ -156,7 +156,8 @@ class TestBuildGraph:
                 tracemalloc.stop()
             assert peak <= 1.25 * g.adj.nbytes, (t, peak, g.adj.nbytes)
 
-    @pytest.mark.parametrize("t", [(13, 6, 3), (14, 7, 2), (15, 7, 3), (15, 8, 4)], ids=str)
+    @pytest.mark.parametrize("t", [(13, 6, 3), (14, 7, 2), (15, 7, 3), (15, 8, 4), (16, 8, 4), (64, 2, 1)],
+                             ids=str)
     def test_memory_estimate_bounds_a_cold_build(self, monkeypatch, t):
         with monkeypatch.context() as m:
             m.setattr(gjg.oracle, "_physical_memory", lambda: 0)
@@ -254,33 +255,55 @@ class TestBuildGraph:
 
 
 class TestFamily:
-    """``_family`` against the sorted-combinations generator it replaced."""
+    """``_family`` against the sorted-combinations generator it replaced, and
+    its half tables against pure-Python intersection counts."""
+
+    FAMILIES = [(v, k) for v in range(13) for k in range(v + 1)] + [(64, 1), (64, 2)]
 
     @staticmethod
-    def _reference(v, k):
-        return sorted(combinations(range(v), k), key=lambda t: t[::-1])
+    def _reference(elements, k):
+        return sorted(combinations(elements, k), key=lambda t: t[::-1])
 
-    @pytest.mark.parametrize("v, k", [(v, k) for v in range(13) for k in range(v + 1)]
-                             + [(64, 1), (64, 2)])
+    @pytest.mark.parametrize("v, k", FAMILIES)
     def test_matches_the_sorted_combinations(self, v, k):
-        subsets = self._reference(v, k)
-        n = len(subsets)
-        masks, member, elems, outside = record = gjg.oracle._family(v, k)
+        subsets = self._reference(range(v), k)
+        masks, lo, hi, split = record = gjg.oracle._family(v, k)
         assert masks.dtype == np.uint64
         assert masks.tolist() == [sum(1 << e for e in s) for s in subsets]
-        assert elems.shape == (n, k) and elems.tolist() == [list(s) for s in subsets]
-        rest = [[e for e in range(v) if e not in s] for s in subsets]
-        assert outside.shape == (n, v - k) and outside.tolist() == rest
-        assert not outside.flags.writeable
-        bits = np.unpackbits(member.view(np.uint8), axis=1)
-        inside = [[e in s for s in subsets] for e in range(v)]
-        assert bits.shape[0] == v and bits[:, :n].astype(bool).tolist() == inside
-        assert not bits[:, n:].any()  # pad bits clear
         for i in range(k + 1):
             g = build_graph(P(v, k, i))
             assert g.masks is record[0]
             assert gjg.oracle._family(v, k) is record
         assert gjg.oracle._FAMILY == {(v, k): record}
+
+    @pytest.mark.parametrize("v, k", FAMILIES)
+    def test_half_tables_hold_every_intersection_count(self, v, k):
+        # Every T of at most s elements of a half, by size, then colex, has
+        # |T| + 1 consecutive rows: row a is {w : |T ∩ S_w| = a}.  split
+        # names where the rows of each vertex's side (S_u, or its
+        # complement when k > v - k) start, below h and from h, and the
+        # sizes of those two parts.
+        n, s, h = math.comb(v, k), min(k, v - k), v // 2
+        masks, lo, hi, split = gjg.oracle._family(v, k)
+        vertices = [sum(1 << e for e in c) for c in self._reference(range(v), k)]
+        sides = vertices if k <= v - k else [(1 << v) - 1 - m for m in vertices]
+        for table, elements, at, size in [(lo, range(h), split[0], split[2]), (hi, range(h, v), split[1], split[3])]:
+            assert table.dtype == np.uint64 and table.shape[1] == (n + 63) // 64
+            bits = np.unpackbits(table.view(np.uint8), axis=1)
+            assert not bits[:, n:].any()  # pad bits clear
+            first, row = {}, 0
+            for j in range(min(s, len(elements)) + 1):
+                for c in self._reference(elements, j):
+                    t = sum(1 << e for e in c)
+                    first[t] = row
+                    counts = np.array([(t & m).bit_count() for m in vertices])
+                    want = counts == np.arange(j + 1)[:, None]
+                    assert np.array_equal(bits[row : row + j + 1, :n], want), (v, k, c)
+                    row += j + 1
+            assert row == table.shape[0]
+            half = sum(1 << e for e in elements)
+            assert at.tolist() == [first[side & half] for side in sides]
+            assert size.tolist() == [(side & half).bit_count() for side in sides]
 
     def test_graph_arrays_are_read_only(self):
         # Every graph of a (v, k) shares the cached family, so a caller's
@@ -706,9 +729,8 @@ def test_oracle_is_independent_of_closed_forms():
         elif isinstance(node, ast.Import):
             pulled.update(a.name for a in node.names)
     assert "formulas" not in pulled and "witness" not in pulled
-    assert "graphio" not in pulled
-    assert not any(name.startswith("gjg.formulas") or name.startswith("gjg.witness")
-                   for name in pulled)
+    assert "graphio" not in pulled and "scheme" not in pulled
+    assert not any(name.startswith(("gjg.formulas", "gjg.witness", "gjg.scheme")) for name in pulled)
 
 
 class TestOracleReport:
