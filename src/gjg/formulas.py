@@ -19,19 +19,13 @@ from .params import (
     GraphClass,
     InvariantReport,
     Parameters,
+    ceil_div,
     delta,
     intersection_range,
     intersection_size,
     make_parameters,
     normalize,
 )
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling of a/b for a >= 0, b > 0 (all formula numerators qualify)."""
-    if a < 0 or b <= 0:
-        raise ValueError(f"ceil_div needs a >= 0 and b > 0, got ({a}, {b})")
-    return (a + b - 1) // b
 
 
 def has_common_neighbor(p: Parameters, x: int) -> bool:

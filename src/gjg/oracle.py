@@ -51,6 +51,9 @@ _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.lim
 # a core's L2 cache or lift a build's peak above 1.25 x its adjacency rows.
 _SLAB = 1 << 17
 _CROSS_CHECKS = 3  # extra random sources behind every per-source measurement
+# Bytes outside array data (headers, Python objects, the first build's read of
+# the memory limits): traced cold builds of tiny graphs need up to 13.5 KB.
+_OVERHEAD = 16 << 10
 
 
 @dataclass(frozen=True)
@@ -254,11 +257,11 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     n = math.comb(p.v, p.k)
     if n > vertex_budget:
         raise BudgetExceeded(f"{p} has {n} vertices, budget {vertex_budget}")
-    # Refuse before allocating.  Counted, in bytes: adj; eight words per
-    # vertex (masks, split's four rows, and the scratch of deriving them);
-    # the member rows the tables are filled from; the two half tables, plus
-    # one of their largest levels as fill scratch; and the arrays live in
-    # one step: _meeting's result, its term and the gathered hi rows (each
+    # Refuse before allocating.  Counted, in bytes: _OVERHEAD; adj; eight
+    # words per vertex (masks, split's four rows, and the scratch of deriving
+    # them); the member rows the tables are filled from; the two half tables,
+    # plus one of their largest levels as fill scratch; and the arrays live
+    # in one step: _meeting's result, its term and the gathered hi rows (each
     # uint64 words), the degree count's bytes and eight per-row indices.
     # The previous step's arrays are freed before the next step's are
     # allocated.
@@ -266,7 +269,7 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     step = min(n, max(1, _SLAB // row))
     s = min(p.k, p.v - p.k)
     levels = [(j + 1) * math.comb(m, j) for m in (p.v // 2, p.v - p.v // 2) for j in range(min(s, m) + 1)]
-    need = (n * row + n * 8 * 8 + (p.v + 1 + sum(levels) + max(levels)) * words * 8
+    need = (_OVERHEAD + n * row + n * 8 * 8 + (p.v + 1 + sum(levels) + max(levels)) * words * 8
             + step * (words * (3 * 8 + 1) + 8 * 8))
     if need > (memory := _physical_memory()):
         raise BudgetExceeded(f"{p} needs about {need} bytes, physical memory {memory}")

@@ -106,6 +106,13 @@ def make_parameters(v: int, k: int, i: int) -> Parameters:
     return Parameters(v, k, i, _classify(v, k, i))
 
 
+def ceil_div(a: int, b: int) -> int:
+    """Ceiling of a/b for a >= 0, b > 0 (every numerator read here qualifies)."""
+    if a < 0 or b <= 0:
+        raise ValueError(f"ceil_div needs a >= 0 and b > 0, got ({a}, {b})")
+    return (a + b - 1) // b
+
+
 def delta(p: Parameters) -> int:
     """The quantity v - 2k + 2i, the same for a triple and its normal form;
     positive for every non-degenerate non-matching triple."""

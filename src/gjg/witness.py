@@ -2,9 +2,9 @@
 
 Every construction works over the ground set {0,...,v-1} and picks the
 lexicographically smallest eligible elements at each step, so identical
-inputs always produce identical walks.  Walk lengths provably match the
-closed-form values in :mod:`gjg.formulas`; verify_walk rechecks the walk
-axioms independently.
+inputs always produce identical walks.  No construction reads a closed
+form; the paper proves the lengths :mod:`gjg.formulas` states, and
+verify_walk rechecks the walk axioms independently.
 
 Every certificate is built by moving elements between the four parts
 that a pair of vertices A, B cuts the ground set into: A - B, A ∩ B,
@@ -26,8 +26,7 @@ import enum
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateClass, Disconnected, InvalidSet, NoCommonNeighbor
-from .formulas import ceil_div, distance_by_intersection, girth, has_common_neighbor, odd_girth
-from .params import GraphClass, Parameters, delta, intersection_size, is_sequence, normalize, vertex
+from .params import GraphClass, Parameters, ceil_div, delta, intersection_size, is_sequence, normalize, vertex
 
 VertexSet = tuple[int, ...]
 
@@ -104,20 +103,19 @@ def common_neighbor(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Vertex
     """A vertex adjacent to both a and b, when one exists.
 
     Takes s = max(0, i+x-k, 2i-k) elements inside a ∩ b, i-s from each
-    private side, and fills up from outside a ∪ b; any s in the feasible
-    interval would do, the lower endpoint is the fixed choice.
+    private side, and fills up from outside a ∪ b (NoCommonNeighbor when a
+    part is too small); any feasible s would do, the lowest is the choice.
     """
     return _lift(p, _common_neighbor, a, b)
 
 
 def _common_neighbor(p: Parameters, A: Sequence[int], B: Sequence[int]) -> VertexSet:
     # common_neighbor on a normalized triple, for vertex sets.
-    x = len(set(A) & set(B))
-    if not has_common_neighbor(p, x):
-        raise NoCommonNeighbor(f"|A ∩ B| = {x} < max(k - delta, 2i - k) in {p}")
-    k, i = p.k, p.i
-    s = max(0, i + x - k, 2 * i - k)
     only_a, shared, only_b, outside = _split(p, A, B)
+    k, i, x = p.k, p.i, len(shared)
+    s = max(0, i + x - k, 2 * i - k)
+    if x < s or k - x < i - s or len(outside) < k - 2 * i + s:
+        raise NoCommonNeighbor(f"|A ∩ B| = {x} < max(k - delta, 2i - k) in {p}")
     picked = shared[:s] + only_a[: i - s] + only_b[: i - s] + outside[: k - 2 * i + s]
     return tuple(sorted(picked))
 
@@ -159,7 +157,7 @@ def _even_route(p: Parameters, A: VertexSet, B: VertexSet) -> list[VertexSet]:
 
 
 def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
-    """Shortest path from a to b, length exactly distance_by_intersection.
+    """Shortest path from a to b, chosen by |a ∩ b| without a closed form.
 
     For intersections above i the route is the shorter of the even
     construction and one edge followed by the even construction from a
@@ -207,9 +205,6 @@ def _geodesic(p: Parameters, A: VertexSet, B: VertexSet) -> Walk:
             path.append(_common_neighbor(p, path[-1], B))
             path.append(B)
 
-    expected = distance_by_intersection(p, x)
-    if len(path) - 1 != expected:
-        raise AssertionError(f"route of length {len(path) - 1}, distance {expected}")
     return Walk(tuple(path), WalkKind.PATH, len(path) - 1)
 
 
@@ -223,8 +218,19 @@ def _six_cycle(p: Parameters) -> list[VertexSet]:
             tuple(range(k - 1, 2 * k - 1)), lo + (2 * k - 1,), hi + (2 * k,)]
 
 
+def _triangle(p: Parameters) -> list[VertexSet] | None:
+    # The canonical edge and a common neighbor of its ends, where one exists.
+    A, B = _canonical_adjacent_pair(p)
+    try:
+        return [A, B, _common_neighbor(p, A, B)]
+    except NoCommonNeighbor:
+        return None
+
+
 def shortest_cycle(p: Parameters) -> Walk:
-    """A cycle of length girth(p), closed vertex repeated at the end."""
+    """A shortest cycle, closed vertex repeated at the end: a triangle on
+    the canonical edge where its ends have a common neighbor, else the
+    5-cycle of (5,2,0), a 6-cycle of another odd graph, or a 4-cycle."""
     w = _lift(p, _shortest_cycle)
     if not verify_walk(p, w):
         raise AssertionError(f"shortest_cycle built an invalid cycle for {p}")
@@ -233,42 +239,38 @@ def shortest_cycle(p: Parameters) -> Walk:
 
 def _shortest_cycle(p: Parameters) -> Walk:
     # shortest_cycle on a normalized triple, unverified.
-    g = girth(p)
-    if g is None:
+    if p.graph_class is GraphClass.MATCHING:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) is acyclic or empty")
     k, i = p.k, p.i
 
-    if g == 3:
-        A, B = _canonical_adjacent_pair(p)
-        cyc = [A, B, _common_neighbor(p, A, B)]
-    elif g == 4:
-        if i >= 2 or p.v > 2 * k + 1:
-            # Four singletons around two alternating (k-i-1)-blocks and a core.
-            blocks = [list(range(4, 3 + k - i)), list(range(3 + k - i, 2 + 2 * (k - i)))]
-            core = list(range(2 + 2 * (k - i), 2 + 2 * (k - i) + i))
-            cyc = [tuple(sorted([j] + blocks[j % 2] + core)) for j in range(4)]
-        else:  # i == 1: consecutive pairs of 0..3 around two alternating blocks
-            blocks = [list(range(4, 2 + k)), list(range(2 + k, 2 * k))]
-            cyc = [tuple(sorted([j, (j + 1) % 4] + blocks[j % 2])) for j in range(4)]
-    elif g == 5:
-        walk = _odd_closed_walk(p)  # at (5,2,0) the minimum odd walk is a 5-cycle
-        cyc = list(walk.vertices[:-1])
-    else:
-        cyc = _six_cycle(p)
+    if (triangle := _triangle(p)) is not None:
+        cyc = triangle
+    elif p.graph_class is GraphClass.ODD_GRAPH:
+        # At (5,2,0) the minimum odd walk is a 5-cycle.
+        cyc = list(_odd_closed_walk(p).vertices[:-1]) if k == 2 else _six_cycle(p)
+    elif i >= 2 or p.v > 2 * k + 1:
+        # Four singletons around two alternating (k-i-1)-blocks and a core.
+        blocks = [list(range(4, 3 + k - i)), list(range(3 + k - i, 2 + 2 * (k - i)))]
+        core = list(range(2 + 2 * (k - i), 2 + 2 * (k - i) + i))
+        cyc = [tuple(sorted([j] + blocks[j % 2] + core)) for j in range(4)]
+    else:  # i == 1: consecutive pairs of 0..3 around two alternating blocks
+        blocks = [list(range(4, 2 + k)), list(range(2 + k, 2 * k))]
+        cyc = [tuple(sorted([j, (j + 1) % 4] + blocks[j % 2])) for j in range(4)]
 
     cyc.append(cyc[0])
     return Walk(tuple(cyc), WalkKind.CYCLE, len(cyc) - 1)
 
 
 def odd_closed_walk(p: Parameters) -> Walk:
-    """A closed walk of length odd_girth(p) starting and ending at {0..k-1}
-    (for v < 2k, at the complement of the normal form's start).
+    """A shortest odd closed walk starting and ending at {0..k-1} (for
+    v < 2k, at the complement of the normal form's start).
 
-    Girth-3 graphs use a triangle.  Odd graphs (2k+1,k,0) walk A -> B -> C
-    -> A where the three sets pairwise intersect in (d, d, 0) elements for
-    k = 2d or 2d+1, joined by geodesics of length k each plus one edge.
-    Girth-4 graphs pick a third vertex equidistant from both ends of an
-    edge at distance r = ceil((k-i)/delta) and glue the two geodesics.
+    A triangle where the canonical edge's ends have a common neighbor.
+    Else odd graphs (2k+1,k,0) walk A -> B -> C -> A where the three sets
+    pairwise intersect in (d, d, 0) elements for k = 2d or 2d+1, joined by
+    geodesics of length k each plus one edge; the others pick a third
+    vertex equidistant from both ends of an edge at distance
+    r = ceil((k-i)/delta) and glue the two geodesics.
     """
     walk = _lift(p, _odd_closed_walk)
     if not verify_walk(p, walk):
@@ -278,19 +280,16 @@ def odd_closed_walk(p: Parameters) -> Walk:
 
 def _odd_closed_walk(p: Parameters) -> Walk:
     # odd_closed_walk on a normalized triple, unverified.
-    og = odd_girth(p)
-    if og is None:
+    if p.graph_class is GraphClass.MATCHING:
         raise DegenerateClass(f"{p} ({p.graph_class.value}) has no odd closed walk")
     k, i, d = p.k, p.i, delta(p)
 
-    if girth(p) == 3:
-        vertices = _shortest_cycle(p).vertices
+    if (triangle := _triangle(p)) is not None:
+        vertices = (*triangle, triangle[0])
     elif p.graph_class is GraphClass.ODD_GRAPH:
         A, B, C = (tuple(range(s, s + k)) for s in (0, ceil_div(k, 2), k + k % 2))
-        leg_ab = geodesic(p, A, B)
-        leg_bc = geodesic(p, B, C)
-        vertices = leg_ab.vertices + leg_bc.vertices[1:] + (A,)
-    else:  # girth 4
+        vertices = geodesic(p, A, B).vertices + geodesic(p, B, C).vertices[1:] + (A,)
+    else:
         r = ceil_div(k - i, d)
         A, B = _canonical_adjacent_pair(p)
         only_a, shared, only_b, outside = _split(p, A, B)
@@ -309,10 +308,7 @@ def _odd_closed_walk(p: Parameters) -> Walk:
                                  f"{leg_b.claimed_length}, expected {r}")
         vertices = leg_a.vertices + tuple(reversed(leg_b.vertices))[1:] + (A,)
 
-    walk = Walk(vertices, WalkKind.CLOSED_WALK, len(vertices) - 1)
-    if walk.claimed_length != og:
-        raise AssertionError(f"walk length {walk.claimed_length}, odd girth {og}")
-    return walk
+    return Walk(vertices, WalkKind.CLOSED_WALK, len(vertices) - 1)
 
 
 def complement_walk(p: Parameters, w: Walk) -> Walk:

@@ -1,6 +1,9 @@
 """The package namespace: every name in gjg.__all__, including the oracle's,
 which load on first access; and the named-tuple records the library returns."""
 
+import ast
+import importlib
+import inspect
 import pickle
 
 import pytest
@@ -12,6 +15,38 @@ ORACLE_NAMES = [
     "oracle_diameter", "oracle_distance", "oracle_girth", "oracle_odd_girth",
     "oracle_report",
 ]
+
+
+def _imports(name: str) -> set[str]:
+    """Every module gjg.<name>'s source imports, anywhere in it; a relative
+    import is spelled gjg.<module>."""
+    pulled = set()
+    for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(f"gjg.{name}")))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            pulled.update([f"gjg.{node.module}"] if node.module else (f"gjg.{a.name}" for a in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            pulled.add(node.module)
+        elif isinstance(node, ast.Import):
+            pulled.update(a.name for a in node.names)
+    return pulled
+
+
+# The spine of the design.  The ground truths (oracle, scheme) read no
+# closed form and no certificate, the certificates (witness) no closed form
+# and no ground truth, and the closed forms (formulas) neither of the other
+# two.  Where a module's whole import list is fixed, the row states it.
+@pytest.mark.parametrize("name, never, only", [
+    ("oracle", {"formulas", "witness", "graphio", "scheme"}, None),
+    ("scheme", {"formulas", "witness", "oracle"}, {"__future__", "math", "gjg.params", "gjg.errors"}),
+    ("witness", {"formulas", "oracle", "scheme", "sweep"},
+     {"__future__", "enum", "typing", "gjg.params", "gjg.errors"}),
+    ("formulas", {"witness", "oracle", "scheme"}, None),
+], ids=["oracle", "scheme", "witness", "formulas"])
+def test_module_spine(name, never, only):
+    pulled = _imports(name)
+    assert not {m for m in pulled if m.startswith("gjg.") and m.split(".")[1] in never}, pulled
+    if only is not None:
+        assert pulled <= only, pulled
 
 
 def test_every_exported_name_resolves():

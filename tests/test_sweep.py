@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import gjg.formulas
 import gjg.oracle
 import gjg.sweep
 import gjg.witness
@@ -108,8 +109,6 @@ class TestCheckTriple:
     @staticmethod
     def _skew_distances(monkeypatch, *at):
         """Add one to the closed-form distance at each (triple, x) in at."""
-        import gjg.formulas
-
         real = gjg.formulas.distance_by_intersection
 
         def skewed(p, x):
@@ -127,6 +126,19 @@ class TestCheckTriple:
             "distance_profile: formula {0: 2, 1: 2, 2: 0}, oracle {0: 1, 1: 2, 2: 0}"]
         assert check_triple(9, 4, 1).failures == [
             "distance_profile: formula {0: 3, 1: 1, 2: 3, 3: 2, 4: 0}, oracle {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}"]
+
+    def test_a_wrong_distance_also_in_reach_of_the_witnesses_fails_one_line(self, monkeypatch):
+        # The skewed closed form is also set on gjg.witness, where a
+        # construction that read it would find it.  The constructions read
+        # no closed form, so the comparison fails alone and no later check
+        # is skipped: the max-route and rank round-trip checks still run.
+        self._skew_distances(monkeypatch, ((9, 4, 1), 2))
+        monkeypatch.setattr(gjg.witness, "distance_by_intersection",
+                            gjg.formulas.distance_by_intersection, raising=False)
+        r = check_triple(9, 4, 1)
+        assert r.failures == [
+            "distance_profile: formula {0: 3, 1: 1, 2: 3, 3: 2, 4: 0}, oracle {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}"]
+        assert "max_route" in r.checks and r.checks["rank_roundtrip"] == 126
 
     def test_detects_a_wrong_distance_read_on_a_lifted_triple(self, monkeypatch):
         # The formula side of J(7,4,2) is read on (7,4,2) itself, not on its
@@ -193,8 +205,6 @@ class TestCheckTriple:
         assert all(m.endswith("is not a shared neighbor") for m in r.failures)
 
     def test_detects_a_negated_common_neighbor_predicate(self, monkeypatch):
-        import gjg.formulas
-
         real = gjg.formulas.has_common_neighbor
         monkeypatch.setattr(gjg.formulas, "has_common_neighbor", lambda p, x: not real(p, x))
         r = check_triple(9, 4, 1)
