@@ -277,12 +277,9 @@ def build_graph(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Ex
     target = p.i if p.k <= p.v - p.k else p.k - p.i
     g = ExplicitGraph(p, n, np.zeros((n, row), dtype=np.uint8), masks)
     if p.i < p.k and target <= s:
-        pad = np.uint8((0xFF00 >> (n % 8 or 8)) & 0xFF)  # last byte's bits below n
         for r0 in range(0, n, step):
             hit = _meeting(lo, hi, split[:, r0 : r0 + step], s, target)
-            packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order
-            packed[:, row - 1] &= pad
-            packed[:, row:] = 0
+            packed = hit.view(np.uint8)  # the same bits, in g.adj's byte order, pads clear as in lo and hi
             deg = np.bitwise_count(hit).sum(axis=1)
             if not np.all(deg == g.degree):
                 raise AssertionError(f"{p}: degrees {np.unique(deg)} != C(k,i)*C(v-k,k-i) = {g.degree}")

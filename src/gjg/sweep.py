@@ -6,8 +6,15 @@ checks every closed-form value, every witness construction, and every
 module invariant against brute-force measurements.  The oracle measures
 and the sweep compares: every distance checked here is read from the
 profile that ``oracle.report_from_graph`` has agreed over all sources.
-The closed-form report is compared with it once; every later check reads
-only the measured report, so a wrong closed form fails one line.
+The checks fall in two blocks.  The report block, ``_check_report``,
+reads a measured report and no graph: the one comparison with the
+closed-form report, then the lower bounds, the distance-2 criterion,
+the witnesses and the maximum route, each read from the measured report
+alone, so a wrong closed form fails one line, and any ground truth that
+gives a report (``scheme.scheme_report`` among them) can pass it where
+no graph is built.  The graph block, ``_run_checks``, reads the graph:
+degrees, searches, their agreement and pair sampling, then the report
+block, then the adjacency checks and the rank round trip.
 Witnesses are checked here only for v >= 2k; ``tests/test_witness.py``
 covers the lifted constructions for v < 2k.  Results carry the oracle's
 report so the complement isomorphism can be checked across triples
@@ -149,33 +156,14 @@ def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, pairs: d
                    f"x={x}: distance {dist} needs {2 * need + odd}", count=pairs[x])
 
 
-def _check_witnesses(res: TripleResult, p: Parameters, measured, g) -> None:
-    """Geodesics, shortest cycle, odd walk and common-neighbor claims: each walk
-    passes verify_walk at exactly the measured length, each claim matches oracle adjacency."""
+def _check_witnesses(res: TripleResult, p: Parameters, measured) -> None:
+    """Geodesics, shortest cycle and odd walk: each walk passes verify_walk
+    at exactly the measured length."""
     for x in intersection_range(p):
-        a, b = witness.canonical_pair(p, x)
-        w = witness.geodesic(p, a, b)
+        w = witness.geodesic(p, *witness.canonical_pair(p, x))
         want = measured.distance_profile[x]
         _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == want,
                f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or measured {want}")
-
-        # Common-neighbor construction against the packed adjacency rows; where a
-        # wrongly claimed neighbour makes it raise, record that and go on.
-        shared = g.adj[graphio.rank(p, a)] & g.adj[graphio.rank(p, b)]
-        found = bool(shared.any())
-        claims = formulas.has_common_neighbor(p, x)
-        _check(res, "common_neighbor", claims == found, f"x={x}: formula {claims}, oracle {found}")
-        try:
-            c = witness.common_neighbor(p, a, b)
-        except NoCommonNeighbor as exc:
-            _check(res, "common_neighbor", not claims, f"x={x}: no witness constructed: {exc}", count=0)
-        else:
-            rc = graphio.rank(p, c)
-            adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
-            _check(res, "common_neighbor", claims and adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
-                   f"x={x}: constructed witness {c} is not a shared neighbor" if claims
-                   else f"x={x}: expected NoCommonNeighbor", count=0)
-
     cyc = witness.shortest_cycle(p)
     _check(res, "witness", witness.verify_walk(p, cyc) and cyc.claimed_length == measured.girth,
            f"shortest_cycle length {cyc.claimed_length} != measured girth {measured.girth}")
@@ -228,13 +216,34 @@ def _check_pairing(res: TripleResult, g: oracle.ExplicitGraph) -> None:
     _check(res, "matching", exact, "a vertex's only neighbor is not its complement")
 
 
-def _check_matching(res: TripleResult, p: Parameters, measured, g) -> None:
-    """Every check on a matching (2k,k,0), the class the paper excludes: its
-    pairing, its measured report, and witnesses for its edges, partial overlaps and cycles."""
-    _check_pairing(res, g)
+def _check_common_neighbors(res: TripleResult, p: Parameters, g: oracle.ExplicitGraph) -> None:
+    """The common-neighbour predicate and construction against the packed
+    adjacency rows of each canonical pair; where a wrongly claimed
+    neighbour makes the construction raise, that is recorded and the
+    checks go on."""
+    for x in intersection_range(p):
+        a, b = witness.canonical_pair(p, x)
+        shared = g.adj[graphio.rank(p, a)] & g.adj[graphio.rank(p, b)]
+        found = bool(shared.any())
+        claims = formulas.has_common_neighbor(p, x)
+        _check(res, "common_neighbor", claims == found, f"x={x}: formula {claims}, oracle {found}")
+        try:
+            c = witness.common_neighbor(p, a, b)
+        except NoCommonNeighbor as exc:
+            _check(res, "common_neighbor", not claims, f"x={x}: no witness constructed: {exc}", count=0)
+        else:
+            rc = graphio.rank(p, c)
+            adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
+            _check(res, "common_neighbor", claims and adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
+                   f"x={x}: constructed witness {c} is not a shared neighbor" if claims
+                   else f"x={x}: expected NoCommonNeighbor", count=0)
+
+
+def _check_matching(res: TripleResult, p: Parameters, measured) -> None:
+    """The report checks on a matching (2k,k,0), the class the paper
+    excludes: its measured report, and witnesses for its edges, partial
+    overlaps and cycles; ``_check_pairing`` checks its adjacency."""
     _check(res, "matching", p.k < 2 or not measured.connected, "oracle says connected", count=0)
-    _check(res, "matching", measured.girth is None and measured.odd_girth is None,
-           "girth/odd girth should be undefined", count=0)
     w = witness.geodesic(p, *witness.canonical_pair(p, 0))
     _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == 1,
            "matching edge geodesic invalid")
@@ -246,7 +255,41 @@ def _check_matching(res: TripleResult, p: Parameters, measured, g) -> None:
                f"{op.__name__} should reject a matching")
 
 
+def _check_report(res: TripleResult, p: Parameters, measured, pairs: dict[int, int]) -> None:
+    """Every check that reads a measured report and no graph: the one
+    comparison with the closed-form report, the lower bounds, the
+    distance-2 criterion, then a matching's report checks, or the
+    witnesses (normal forms only) and the maximum route.  pairs[x] is the
+    number of (source, vertex) pairs of class x that the report stands
+    for; a ground truth that reads the whole class passes its size."""
+    profile = measured.distance_profile
+    # The closed forms are read here only; every later check reads the measured report.
+    got = _compared(measured)
+    for name, want in _compared(invariant_report(p)).items():
+        _check(res, name, want == got[name], f"formula {want}, oracle {got[name]}",
+               count=len(profile) if name == "distance_profile" else 1)
+    _check_lower_bound(res, p, profile, pairs)
+    if p.is_degenerate:
+        return
+    # Distance-2 criterion: beyond adjacency, two vertices are at
+    # distance exactly 2 iff they have a common neighbor.
+    for x, dval in profile.items():
+        if dval != 0 and dval != 1:
+            _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
+                   f"x={x}: distance {dval} contradicts predicate")
+    if p.graph_class is GraphClass.MATCHING:
+        _check_matching(res, p, measured)
+    else:
+        # Witnesses for v < 2k are checked in tests/test_witness.py; here they
+        # would change the per-triple tallies in perfbench/expected/sweep.json.
+        if p.is_normalized:
+            _check_witnesses(res, p, measured)
+        _check_max_route(res, p, profile)
+
+
 def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
+    """The graph block: the checks that read the built graph, around the
+    report block run on the graph's agreed report."""
     g = oracle.build_graph(p, max_vertices)
     n = g.n
 
@@ -276,13 +319,6 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     # perfbench/expected/sweep.json records them; the diameter is read from
     # the agreed profile.
     _check(res, "transitivity", True, "", count=3 * min(4, n))
-    profile = measured.distance_profile
-
-    # The closed forms are read here only; every later check reads the measured report.
-    got = _compared(measured)
-    for name, want in _compared(invariant_report(p)).items():
-        _check(res, name, want == got[name], f"formula {want}, oracle {got[name]}",
-               count=len(profile) if name == "distance_profile" else 1)
 
     # Sampled pairs: each (source, vertex) pair is one sample for its class;
     # report_from_graph has agreed every source's profile.
@@ -294,23 +330,11 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
         _check(res, "pair_sampling", sampled >= wanted, f"x={x}: only {sampled} sampled pairs",
                count=min(sampled, wanted))
 
-    _check_lower_bound(res, p, profile, pairs)
-
-    if not p.is_degenerate:
-        # Distance-2 criterion: beyond adjacency, two vertices are at
-        # distance exactly 2 iff they have a common neighbor.
-        for x, dval in profile.items():
-            if dval != 0 and dval != 1:
-                _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
-                       f"x={x}: distance {dval} contradicts predicate")
-        if p.graph_class is GraphClass.MATCHING:
-            _check_matching(res, p, measured, g)
-        else:
-            # Witnesses for v < 2k are checked in tests/test_witness.py; here they
-            # would change the per-triple tallies in perfbench/expected/sweep.json.
-            if p.is_normalized:
-                _check_witnesses(res, p, measured, g)
-            _check_max_route(res, p, profile)
+    _check_report(res, p, measured, pairs)
+    if p.graph_class is GraphClass.MATCHING:
+        _check_pairing(res, g)
+    elif p.is_normalized and not p.is_degenerate:
+        _check_common_neighbors(res, p, g)
     _check_rank_roundtrip(res, p, n)
 
 

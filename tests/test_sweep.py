@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -12,11 +13,13 @@ import gjg.oracle
 import gjg.sweep
 import gjg.witness
 from gjg.oracle import OracleReport, _sources, build_graph
-from gjg.params import make_parameters
+from gjg.params import intersection_range, make_parameters
+from gjg.scheme import scheme_report
 from gjg.sweep import (
     SweepConfig,
     TripleResult,
     _check_pairing,
+    _check_report,
     check_complements,
     check_interfaces,
     check_triple,
@@ -244,6 +247,14 @@ class TestCheckTriple:
         assert [m.split(":")[0] for m in r.failures] == ["transitivity"]
         assert "per-source distance profile disagrees" in r.failures[0]
 
+    def test_a_matching_measured_with_a_girth_fails_the_comparison_alone(self, monkeypatch):
+        # The closed forms give a matching no girth, so the one comparison
+        # flags a measured girth; no matching check repeats it.
+        real = gjg.oracle.report_from_graph
+        monkeypatch.setattr(gjg.oracle, "report_from_graph",
+                            lambda g, searches: real(g, searches)._replace(girth=4))
+        assert check_triple(8, 4, 0).failures == ["girth: formula None, oracle 4"]
+
 
 class TestCheckPairing:
     # J(8,4,0) pairs rank r with 69 - r: row 0's partner is bit 5 of byte 8.
@@ -329,6 +340,33 @@ class TestCheckComplements:
         checked, failures = check_complements([low, high])
         assert checked == 1 and len(failures) == 1
         assert "no oracle report" in failures[0]
+
+
+def test_report_block_passes_the_quotient_up_to_32(monkeypatch):
+    # The report block reads no graph, so the quotient's report passes it
+    # on every non-degenerate triple with v <= 32, v < 2k and matchings
+    # included; each class stands for all of its pairs with the root.
+    # Measured at 1.4-1.5 s on a 2-vCPU VM.
+    def no_graph(*args):
+        raise AssertionError("the report block built a graph")
+
+    monkeypatch.setattr(gjg.oracle, "build_graph", no_graph)
+    start = time.perf_counter()
+    triples = [p for v in range(33) for k in range(v + 1) for i in range(k + 1)
+               if not (p := make_parameters(v, k, i)).is_degenerate]
+    assert len(triples) == 2856
+    failed, tallied = [], Counter()
+    for p in triples:
+        res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
+        pairs = {x: math.comb(p.k, x) * math.comb(p.v - p.k, p.k - x) for x in intersection_range(p)}
+        _check_report(res, p, scheme_report(p), pairs)
+        failed += res.failures
+        tallied.update(res.checks.keys())
+    elapsed = time.perf_counter() - start
+    assert failed == []
+    assert all(tallied[name] == 2856 for name in ("girth", "odd_girth", "diameter", "distance_profile"))
+    assert tallied["witness"] > 0 and tallied["max_route"] > 0 and tallied["lower_bound"] > 0
+    assert elapsed < 12, f"{elapsed:.1f} s"
 
 
 def test_interface_probes_run_under_default_config():
