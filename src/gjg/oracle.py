@@ -19,9 +19,10 @@ rows directly, a BFS level being the OR of the frontier's rows.
 Single-source shortcuts (one BFS for distances, girth, odd girth) are
 mathematically justified because the symmetric group on the ground set
 acts transitively on vertices; since the point of this module is
-independence, every such value is still cross-checked from randomly
-chosen extra sources.  One BFS per source (``search``) measures all
-of them; the caller holds the searches, and a built graph never changes.
+independence, every such value is still cross-checked from seeded random
+extra sources, as many as ``source_count`` decides, the one rule.
+``report_from_graph`` runs one BFS (``search``) per source and agrees
+what they measure; every ``oracle_*`` query reads that report.
 Distances come from one measurement, the profile: BFS from a source to
 every vertex, a function of the size of their intersection.  The
 diameter is the profile's largest distance, every class being non-empty.
@@ -33,13 +34,13 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetExceeded, Unsupported
-from .params import (INFINITE, InvariantReport, Parameters, intersection_range, intersection_size,
-                     rank_index)
+from .params import (INFINITE, InvariantReport, Parameters, class_size, intersection_range,
+                     intersection_size, rank_index)
 
 DEFAULT_VERTEX_BUDGET = 20_000
 MAX_GROUND_SET = 64
@@ -50,7 +51,8 @@ _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.lim
 # few dozen numpy calls, so larger is faster until its live arrays outgrow
 # a core's L2 cache or lift a build's peak above 1.25 x its adjacency rows.
 _SLAB = 1 << 17
-_CROSS_CHECKS = 3  # extra random sources behind every per-source measurement
+MIN_PAIR_SAMPLES = 10  # source_count's target of (source, vertex) pairs per class
+_SMALL_GRAPH = 600  # source_count searches up to MIN_PAIR_SAMPLES sources on graphs this small
 # Bytes outside array data (headers, Python objects, the first build's read of
 # the memory limits): traced cold builds of tiny graphs need up to 13.5 KB.
 _OVERHEAD = 16 << 10
@@ -80,12 +82,10 @@ class ExplicitGraph:
 
     @property
     def degree(self) -> int:
-        # C(k,i) * C(v-k, k-i); at i = k the only candidate is the vertex
+        # The vertices meeting u in i elements; at i = k the only one is u
         # itself, excluded as a loop.
         p = self.params
-        if p.i == p.k:
-            return 0
-        return math.comb(p.k, p.i) * math.comb(p.v - p.k, p.k - p.i)
+        return 0 if p.i == p.k else class_size(p, p.i)
 
     @property
     def edge_count(self) -> int:
@@ -382,16 +382,28 @@ def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
     return search(g, source).dist
 
 
-def _sources(v: int, k: int, i: int, n: int, count: int) -> list[int]:
-    """Canonical vertex 0 plus count-1 seeded-random distinct extras; a pure
-    function, so a shorter request is a prefix of a longer one."""
-    rng = np.random.default_rng([v, k, i, 1811])
+def source_count(p: Parameters) -> int:
+    """How many BFS sources every measurement of p agrees over: up to
+    MIN_PAIR_SAMPLES vertices when there are at most _SMALL_GRAPH, or when
+    some class other than x = k (the source itself) gives three sources
+    fewer than MIN_PAIR_SAMPLES (source, vertex) pairs; otherwise four."""
+    n = math.comb(p.v, p.k)
+    if n <= _SMALL_GRAPH or min(class_size(p, x) for x in intersection_range(p)[:-1]) * 3 < MIN_PAIR_SAMPLES:
+        return min(n, MIN_PAIR_SAMPLES)
+    return 4
+
+
+def _sources(p: Parameters) -> list[int]:
+    """The source_count(p) ranks that measure p: vertex 0, then distinct
+    extras from a generator seeded with the triple, a pure function of it."""
+    n, count = math.comb(p.v, p.k), source_count(p)
+    rng = np.random.default_rng([p.v, p.k, p.i, 1811])
     ranks = [0]
-    while len(ranks) < min(count, n):
+    while len(ranks) < count:
         r = int(rng.integers(n))
         if r not in ranks:
             ranks.append(r)
-    return ranks[: min(count, n)]
+    return ranks
 
 
 def oracle_girth(g: ExplicitGraph) -> int | None:
@@ -449,17 +461,13 @@ def oracle_report(p: Parameters, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
     return report_from_graph(build_graph(p, vertex_budget))
 
 
-def report_from_graph(g: ExplicitGraph, searches: Sequence[Search] | None = None) -> InvariantReport:
-    """Profile, girth and odd girth agreed between the given searches, one
-    per source (by default the canonical vertex and _CROSS_CHECKS seeded
-    extras), and the diameter read from that profile.  Vertex transitivity
-    says they must agree: AssertionError names the first that does not.
-    An empty list of searches raises ValueError."""
+def report_from_graph(g: ExplicitGraph) -> InvariantReport:
+    """Profile, girth and odd girth agreed between one search from each
+    rank of ``_sources``, and the diameter read from that profile.  Vertex
+    transitivity says they must agree: AssertionError names the first
+    that does not."""
     p = g.params
-    if searches is None:
-        searches = [search(g, s) for s in _sources(p.v, p.k, p.i, g.n, 1 + _CROSS_CHECKS)]
-    if not searches:
-        raise ValueError(f"{p}: no searches to agree on")
+    searches = [search(g, s) for s in _sources(p)]
 
     def agreed(what, values):
         if any(val != values[0] for val in values):

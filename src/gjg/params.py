@@ -8,7 +8,8 @@ witness constructions read the normal form v >= 2k that :func:`normalize`
 reaches by complementing every vertex set.  A vertex is
 what :func:`vertex` accepts, an intersection size what
 :func:`intersection_size` accepts, a rank what :func:`rank_index` accepts;
-every entry point that takes one asks it.  A report is an
+every entry point that takes one asks it.  How many vertices meet one
+in x elements is :func:`class_size`.  A report is an
 :class:`InvariantReport`, whichever ground truth made it.
 """
 
@@ -139,6 +140,12 @@ def normalize(p: Parameters) -> Parameters:
 def intersection_range(p: Parameters) -> range:
     """Possible |A ∩ B| for two k-subsets of a v-set: max(0, 2k-v) .. k."""
     return range(max(0, 2 * p.k - p.v), p.k + 1)
+
+
+def class_size(p: Parameters, x: int) -> int:
+    """How many k-subsets meet a fixed one in x elements, 0 <= x <= k:
+    C(k,x) * C(v-k,k-x), which is 0 where no subset does."""
+    return math.comb(p.k, x) * math.comb(p.v - p.k, p.k - x)
 
 
 def intersection_size(p: Parameters, x) -> int:

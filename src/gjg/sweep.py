@@ -5,7 +5,8 @@ C(v,k) within the vertex budget, the sweep builds the explicit graph and
 checks every closed-form value, every witness construction, and every
 module invariant against brute-force measurements.  The oracle measures
 and the sweep compares: every distance checked here is read from the
-profile that ``oracle.report_from_graph`` has agreed over all sources.
+profile that ``oracle.report_from_graph`` has agreed over the oracle's
+sources, as many as ``oracle.source_count`` decides for every caller.
 The checks fall in two blocks.  The report block, ``_check_report``,
 reads a measured report and no graph: the one comparison with the
 closed-form report, then the lower bounds, the distance-2 criterion,
@@ -13,7 +14,7 @@ the witnesses and the maximum route, each read from the measured report
 alone, so a wrong closed form fails one line, and any ground truth that
 gives a report (``scheme.scheme_report`` among them) can pass it where
 no graph is built.  The graph block, ``_run_checks``, reads the graph:
-degrees, searches, their agreement and pair sampling, then the report
+degrees, the oracle's agreed report and pair sampling, then the report
 block, then the adjacency checks and the rank round trip.
 Witnesses are checked here only for v >= 2k; ``tests/test_witness.py``
 covers the lifted constructions for v < 2k.  Results carry the oracle's
@@ -37,11 +38,9 @@ import numpy as np
 from . import formulas, graphio, oracle, witness
 from .errors import DegenerateClass, Disconnected, NoCommonNeighbor, OutOfRange
 from .formulas import invariant_report
-from .params import (INFINITE, GraphClass, InvariantReport, Parameters, delta, intersection_range,
-                     make_parameters, normalize)
+from .params import (INFINITE, GraphClass, InvariantReport, Parameters, class_size, delta,
+                     intersection_range, make_parameters, normalize)
 
-MIN_PAIR_SAMPLES = 10
-SMALL_GRAPH_FULL_CHECK = 600
 _CHUNK = 8  # triples per task handed to a pool worker
 
 
@@ -239,11 +238,10 @@ def _check_common_neighbors(res: TripleResult, p: Parameters, g: oracle.Explicit
                    else f"x={x}: expected NoCommonNeighbor", count=0)
 
 
-def _check_matching(res: TripleResult, p: Parameters, measured) -> None:
-    """The report checks on a matching (2k,k,0), the class the paper
-    excludes: its measured report, and witnesses for its edges, partial
-    overlaps and cycles; ``_check_pairing`` checks its adjacency."""
-    _check(res, "matching", p.k < 2 or not measured.connected, "oracle says connected", count=0)
+def _check_matching(res: TripleResult, p: Parameters) -> None:
+    """Witnesses on a matching (2k,k,0), the class the paper excludes: its
+    edges, partial overlaps and cycles.  The comparison checks its report,
+    infinite distances and all, and ``_check_pairing`` its adjacency."""
     w = witness.geodesic(p, *witness.canonical_pair(p, 0))
     _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == 1,
            "matching edge geodesic invalid")
@@ -278,7 +276,7 @@ def _check_report(res: TripleResult, p: Parameters, measured, pairs: dict[int, i
             _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
                    f"x={x}: distance {dval} contradicts predicate")
     if p.graph_class is GraphClass.MATCHING:
-        _check_matching(res, p, measured)
+        _check_matching(res, p)
     else:
         # Witnesses for v < 2k are checked in tests/test_witness.py; here they
         # would change the per-triple tallies in perfbench/expected/sweep.json.
@@ -296,22 +294,9 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     # Degree regularity is asserted during the build; record it.
     _check(res, "degree", True, "", count=n)
 
-    # How many BFS sources: enough that every intersection class except
-    # x = k (identical pairs) accumulates MIN_PAIR_SAMPLES sampled pairs,
-    # where that many distinct pairs exist at all.
-    class_sizes = {
-        x: math.comb(p.k, x) * math.comb(p.v - p.k, p.k - x)
-        for x in intersection_range(p)
-    }
-    thin = [s for x, s in class_sizes.items() if x != p.k]
-    many = n <= SMALL_GRAPH_FULL_CHECK or min(thin) * 3 < MIN_PAIR_SAMPLES
-    want_sources = min(n, MIN_PAIR_SAMPLES) if many else 4
-    searches = [oracle.search(g, s) for s in oracle._sources(p.v, p.k, p.i, n, want_sources)]
-
-    # Formula versus measured invariants, each measured identically from
-    # every source (vertex transitivity).
+    # Every invariant measured identically from each source (vertex transitivity).
     try:
-        res.measured = measured = oracle.report_from_graph(g, searches)
+        res.measured = measured = oracle.report_from_graph(g)
     except AssertionError as exc:
         _check(res, "transitivity", False, str(exc), count=0)
         return
@@ -322,11 +307,11 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
 
     # Sampled pairs: each (source, vertex) pair is one sample for its class;
     # report_from_graph has agreed every source's profile.
-    pairs = {x: size * len(searches) for x, size in class_sizes.items()}
+    pairs = {x: class_size(p, x) * oracle.source_count(p) for x in intersection_range(p)}
     for x, sampled in pairs.items():
         if x == p.k:
             continue  # only identical pairs; distance 0 holds per source by construction
-        wanted = min(MIN_PAIR_SAMPLES, class_sizes[x] * n)
+        wanted = min(oracle.MIN_PAIR_SAMPLES, class_size(p, x) * n)
         _check(res, "pair_sampling", sampled >= wanted, f"x={x}: only {sampled} sampled pairs",
                count=min(sampled, wanted))
 

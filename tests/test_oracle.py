@@ -22,6 +22,7 @@ from gjg.oracle import (
     _unpacked,
     bfs_distances,
     build_graph,
+    distance_profile,
     intersection_with,
     oracle_diameter,
     oracle_distance,
@@ -30,6 +31,7 @@ from gjg.oracle import (
     oracle_report,
     report_from_graph,
     search,
+    source_count,
 )
 from gjg.params import make_parameters
 
@@ -624,13 +626,22 @@ class TestMeasurements:
             assert _reference_search(adj, 0)[1:] == (m, m if m % 2 else None)
             _assert_searches_match(g, adj, m)
 
-    def test_report_searches_each_source_once(self, monkeypatch):
+    # One source rule for every measurement: every vertex up to ten on a
+    # graph of at most 600 (J(4,4,0) has one, J(9,4,1) 126) or with a thin
+    # class (J(8,4,0) meets each vertex's complement alone at x = 0), else
+    # four (J(12,5,2)'s thinnest class has 21 vertices, J(64,2,1)'s 124).
+    @pytest.mark.parametrize("triple, count", [
+        ((4, 4, 0), 1), ((8, 4, 0), 10), ((9, 4, 1), 10), ((12, 5, 2), 4), ((64, 2, 1), 4),
+    ], ids=lambda t: ",".join(map(str, t)) if isinstance(t, tuple) else None)
+    def test_one_source_rule(self, monkeypatch, triple, count):
+        p = P(*triple)
+        assert len(_sources(p)) == source_count(p) == count
         draws, searches = [], Counter()
         real_sources, real_search = gjg.oracle._sources, gjg.oracle.search
 
-        def sources(*args):
-            draws.append(args)
-            return real_sources(*args)
+        def sources(q):
+            draws.append(q)
+            return real_sources(q)
 
         def counted(g, s):
             searches[s] += 1
@@ -638,39 +649,35 @@ class TestMeasurements:
 
         monkeypatch.setattr(gjg.oracle, "_sources", sources)
         monkeypatch.setattr(gjg.oracle, "search", counted)
-        g = build_graph(P(9, 4, 1))
-        report_from_graph(g)
-        assert len(draws) == 1 and searches == dict.fromkeys(_sources(9, 4, 1, g.n, 4), 1)
-        # Searches handed in are agreed as they are: none is run again.
-        given = [real_search(g, s) for s in (0, 5, 7)]
-        searches.clear()
-        assert report_from_graph(g, given).girth == 3 and not searches
+        # The report and oracle_report, which reads it, each draw the
+        # sources once and search every one of them once.
+        for measure in (lambda: report_from_graph(build_graph(p)), lambda: oracle_report(p)):
+            draws.clear()
+            searches.clear()
+            measure()
+            assert draws == [p] and searches == dict.fromkeys(real_sources(p), 1)
 
-    def test_report_agrees_every_search_it_is_given(self):
+    def test_report_agrees_every_search_it_is_given(self, monkeypatch):
+        # Each of _sources' ranks is searched and agreed: a girth skewed on
+        # the last one alone is a disagreement.
         g = build_graph(P(9, 4, 1))
-        given = [search(g, s) for s in (0, 3, 8)]
-        assert report_from_graph(g, given) == report_from_graph(g)
-        given[2] = dataclasses.replace(given[2], girth=99)
-        with pytest.raises(AssertionError, match="per-source girth disagrees"):
-            report_from_graph(g, given)
-
-    def test_report_rejects_no_searches(self):
-        with pytest.raises(ValueError, match=r"J\(9,4,1\): no searches to agree on"):
-            report_from_graph(build_graph(P(9, 4, 1)), [])
+        last, real = _sources(g.params)[-1], gjg.oracle.search
+        monkeypatch.setattr(gjg.oracle, "search", lambda g, s: dataclasses.replace(
+            real(g, s), girth=99) if s == last else real(g, s))
+        with pytest.raises(AssertionError, match=r"per-source girth disagrees: \[3, 3, 3, 3, 3, 3, 3, 3, 3, 99\]"):
+            report_from_graph(g)
 
     def test_report_rejects_a_search_of_another_vertex_count(self):
         g, other = build_graph(P(9, 4, 1)), build_graph(P(8, 3, 1))
-        given = [search(g, 0), search(other, 5)]
         with pytest.raises(ValueError, match=r"J\(9,4,1\) has 126 vertices; the search from 5 measured 56"):
-            report_from_graph(g, given)
+            distance_profile(g, search(other, 5))
 
 
 def test_sources_are_a_pure_function_of_the_triple():
     # Ranks drawn by the seeded generator; sweep tallies depend on them.
     ten = [0, 20, 16, 74, 43, 15, 121, 63, 98, 116]
-    assert _sources(9, 4, 1, math.comb(9, 4), 10) == ten
-    assert _sources(9, 4, 1, math.comb(9, 4), 4) == ten[:4]
-    assert _sources(9, 4, 1, math.comb(9, 4), 10) == ten
+    assert _sources(P(9, 4, 1)) == ten
+    assert _sources(P(9, 4, 1)) == ten
 
 
 def test_concurrent_builds_across_families():
@@ -680,7 +687,7 @@ def test_concurrent_builds_across_families():
 
     def measure(t):
         g = build_graph(P(*t))
-        srcs = _sources(*t, g.n, 6)
+        srcs = _sources(g.params)[:6]
         return srcs, [bfs_distances(g, s).tolist() for s in srcs], oracle_girth(g)
 
     want = {t: measure(t) for t in triples}
@@ -698,7 +705,7 @@ def test_concurrent_builds_across_families():
 
 def test_threads_sharing_one_graph_agree_with_a_serial_run():
     g = build_graph(P(10, 4, 1))
-    srcs = _sources(10, 4, 1, g.n, 8)
+    srcs = _sources(g.params)[:8]
 
     def measure(j):
         s = srcs[j % len(srcs)]

@@ -49,6 +49,18 @@ def test_module_spine(name, never, only):
         assert pulled <= only, pulled
 
 
+def test_sweep_reads_no_private_oracle_name():
+    # The oracle decides how it measures, its sources among it; the sweep
+    # asks only through public names.
+    tree = ast.parse(inspect.getsource(importlib.import_module("gjg.sweep")))
+    private = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "oracle" and node.attr.startswith("_")]
+    private += [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("oracle") for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def test_every_exported_name_resolves():
     assert [name for name in gjg.__all__ if not hasattr(gjg, name)] == []
 

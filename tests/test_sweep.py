@@ -13,7 +13,7 @@ import gjg.oracle
 import gjg.sweep
 import gjg.witness
 from gjg.oracle import OracleReport, _sources, build_graph
-from gjg.params import intersection_range, make_parameters
+from gjg.params import class_size, intersection_range, make_parameters
 from gjg.scheme import scheme_report
 from gjg.sweep import (
     SweepConfig,
@@ -171,7 +171,7 @@ class TestCheckTriple:
 
     @pytest.mark.parametrize("triple, sources", [((9, 4, 1), 10), ((12, 5, 2), 4)])
     def test_measures_each_source_profile_once(self, monkeypatch, triple, sources):
-        # The sweep searches each of its sources once and report_from_graph
+        # The sweep's report searches each of the oracle's sources once and
         # agrees every one of their profiles, measured once each.
         profiles, searches = Counter(), Counter()
         real_profile, real_search = gjg.oracle.distance_profile, gjg.oracle.search
@@ -188,8 +188,8 @@ class TestCheckTriple:
         monkeypatch.setattr(gjg.oracle, "search", search)
         r = check_triple(*triple)
         assert r.passed, r.failures
-        want = dict.fromkeys(_sources(*triple, math.comb(*triple[:2]), sources), 1)
-        assert profiles == searches == want
+        want = dict.fromkeys(_sources(make_parameters(*triple)), 1)
+        assert len(want) == sources and profiles == searches == want
 
     def test_detects_a_common_neighbor_of_one_end_only(self, monkeypatch):
         # The constructed witness is adjacent to a but not to b, wherever
@@ -234,9 +234,9 @@ class TestCheckTriple:
         assert check_triple(9, 4, 1).checks["lower_bound"] == 10 * 126
 
     def test_a_disagreeing_extra_source_fails_transitivity(self, monkeypatch):
-        # J(9,4,1) has 10 sweep sources; the last one's profile is skewed.
+        # J(9,4,1) has 10 sources; the last one's profile is skewed.
         real_profile = gjg.oracle.distance_profile
-        last = _sources(9, 4, 1, 126, 10)[-1]
+        last = _sources(make_parameters(9, 4, 1))[-1]
 
         def profile(g, found):
             got = real_profile(g, found)
@@ -251,9 +251,20 @@ class TestCheckTriple:
         # The closed forms give a matching no girth, so the one comparison
         # flags a measured girth; no matching check repeats it.
         real = gjg.oracle.report_from_graph
-        monkeypatch.setattr(gjg.oracle, "report_from_graph",
-                            lambda g, searches: real(g, searches)._replace(girth=4))
+        monkeypatch.setattr(gjg.oracle, "report_from_graph", lambda g: real(g)._replace(girth=4))
         assert check_triple(8, 4, 0).failures == ["girth: formula None, oracle 4"]
+
+    def test_a_matching_measured_as_connected_fails_the_comparison_alone(self, monkeypatch):
+        # A finite distance at every partial overlap of J(8,4,0) is a
+        # connected measurement; the comparison flags its diameter and
+        # profile, and no matching check reads the connected field.
+        real = gjg.oracle.report_from_graph
+        profile = {0: 1, 1: 3, 2: 3, 3: 3, 4: 0}
+        monkeypatch.setattr(gjg.oracle, "report_from_graph", lambda g: real(g)._replace(
+            diameter=3, distance_profile=profile, connected=True))
+        assert check_triple(8, 4, 0).failures == [
+            "diameter: formula inf, oracle 3",
+            "distance_profile: formula {0: 1, 1: inf, 2: inf, 3: inf, 4: 0}, oracle {0: 1, 1: 3, 2: 3, 3: 3, 4: 0}"]
 
 
 class TestCheckPairing:
@@ -358,7 +369,7 @@ def test_report_block_passes_the_quotient_up_to_32(monkeypatch):
     failed, tallied = [], Counter()
     for p in triples:
         res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
-        pairs = {x: math.comb(p.k, x) * math.comb(p.v - p.k, p.k - x) for x in intersection_range(p)}
+        pairs = {x: class_size(p, x) for x in intersection_range(p)}
         _check_report(res, p, scheme_report(p), pairs)
         failed += res.failures
         tallied.update(res.checks.keys())
