@@ -24,8 +24,10 @@ extra sources, as many as ``source_count`` decides, the one rule.
 ``report_from_graph`` runs one BFS (``search``) per source and agrees
 what they measure; every ``oracle_*`` query reads that report.
 Distances come from one measurement, the profile: BFS from a source to
-every vertex, a function of the size of their intersection.  The
-diameter is the profile's largest distance, every class being non-empty.
+every vertex, a function of the size of their intersection, keyed by
+the sizes that some vertex has, read from the graph and not from
+``params``.  The diameter is the profile's largest distance, so it
+covers the class of every vertex.
 """
 
 from __future__ import annotations
@@ -429,21 +431,23 @@ def intersection_with(g: ExplicitGraph, source: int) -> np.ndarray:
 
 def distance_profile(g: ExplicitGraph, found: Search) -> dict[int, int | float]:
     """{x: BFS distance from the search's source to the vertices meeting it
-    in x elements}, math.inf where unreachable; raises AssertionError
-    unless every vertex with the same x is at the same distance, and
-    ValueError for a search of a graph with another vertex count."""
+    in x elements}, math.inf where unreachable, keyed by the classes the
+    graph has: every x that some vertex meets the source in, and no
+    other.  Raises AssertionError unless every vertex with the same x is
+    at the same distance, and ValueError for a search of a graph with
+    another vertex count."""
     p, dist, source = g.params, found.dist, found.source
     if dist.shape != (g.n,):
         raise ValueError(f"{p} has {g.n} vertices; the search from {source} measured {dist.size}")
     overlap = intersection_with(g, source)
-    at = np.empty(p.k + 1, dtype=dist.dtype)
+    at = np.full(p.k + 1, -2, dtype=dist.dtype)  # -2: no vertex meets the source in x
     at[overlap] = dist  # some vertex's distance per x, which all must share
     bad = dist != at[overlap]
     if bad.any():
         x = int(overlap[bad.argmax()])
         ds = np.unique(dist[overlap == x]).tolist()
         raise AssertionError(f"{p}: distance from {source} not a function of x={x}: {ds}")
-    return {x: INFINITE if at[x] < 0 else int(at[x]) for x in intersection_range(p)}
+    return {x: INFINITE if d < 0 else d for x, d in enumerate(at.tolist()) if d != -2}
 
 
 def oracle_distance(g: ExplicitGraph, x: int):

@@ -46,6 +46,7 @@ class Walk(NamedTuple):
 
 
 def _ground_complement(p: Parameters, s: Sequence[int]) -> list[int]:
+    # range(v) minus s, O(v): the lift and complement_walk read it, for v < 2k.
     used = set(s)
     return [e for e in range(p.v) if e not in used]
 
@@ -63,9 +64,17 @@ def _lift(p: Parameters, build, *ends: Sequence[int]):
 
 
 def _split(p: Parameters, A: Sequence[int], B: Sequence[int]) -> tuple[list[int], ...]:
-    """(A - B, A ∩ B, B - A, outside A ∪ B), each ascending."""
+    """(A - B, A ∩ B, B - A, outside A ∪ B), each ascending.
+
+    The outside is cut short to its smallest elements below
+    |A ∪ B| + k: a prefix of the whole with at least min(k, its size)
+    elements, so a walk costs O(k) per vertex at any v.  No construction
+    takes more than k outside elements, and the two that take the whole
+    outside do so only when it has at most k, when the prefix is all of
+    it; so every walk is the one the whole outside gives."""
     sa, sb = set(A), set(B)
-    return sorted(sa - sb), sorted(sa & sb), sorted(sb - sa), _ground_complement(p, sa | sb)
+    outside = [e for e in range(min(p.v, len(sa | sb) + p.k)) if e not in sa and e not in sb]
+    return sorted(sa - sb), sorted(sa & sb), sorted(sb - sa), outside
 
 
 def verify_walk(p: Parameters, w: Walk) -> bool:

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -199,6 +200,21 @@ class TestWitness:
         assert code == 0
         assert "verified: true" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--v", str(10**18), "--k", "8", "--i", "3", "geodesic", "--x", "2"],
+        ["distance", "--v", str(10**18), "--k", "8", "--i", "3", "--x", "0", "--witness"],
+    ], ids=["witness", "distance"])
+    def test_geodesic_at_v_10_18(self, src_env, argv):
+        # A geodesic reads O(k) ground elements, whatever v.  One console
+        # process measured at 0.07-0.09 s on a 2-vCPU VM.
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "gjg.cli", *argv], capture_output=True,
+                              text=True, env=src_env, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("verified: true\n")
+        assert elapsed < 5, f"{elapsed:.2f} s"
 
     # A walk that fails verification is never printed: one stderr line and
     # exit 1 from both commands.  distance prints its number first, as it

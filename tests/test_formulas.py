@@ -27,6 +27,9 @@ def test_ceil_div():
     assert ceil_div(0, 3) == 0
     assert ceil_div(7, 3) == 3
     assert ceil_div(6, 3) == 2
+    # Numerators past 2^53, where a float quotient is no longer exact.
+    for a, b in [(2**53 + 1, 1), (2**53 + 1, 2), (2**60 + 1, 3), (2**60 - 1, 3), (3 * 2**70 + 1, 2**17)]:
+        assert ceil_div(a, b) == -(-a // b), (a, b)
     with pytest.raises(ValueError):
         ceil_div(-1, 3)
     with pytest.raises(ValueError):
@@ -83,7 +86,9 @@ class TestGirth:
 class TestOddGirth:
     @pytest.mark.parametrize(
         "triple, expected",
-        [((7, 3, 0), 7), ((9, 4, 0), 9), ((8, 4, 1), 5), ((6, 2, 0), 3), ((5, 2, 0), 5)],
+        [((7, 3, 0), 7), ((9, 4, 0), 9), ((8, 4, 1), 5), ((6, 2, 0), 3), ((5, 2, 0), 5),
+         # k - i = 2^59 - 1 over delta = 3, past 2^53: a float ceiling reads ...305.
+         ((2**60 + 1, 2**59, 1), 384307168202282327)],
     )
     def test_values(self, triple, expected):
         assert odd_girth(P(*triple)) == expected
