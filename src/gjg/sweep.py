@@ -8,10 +8,11 @@ and the sweep compares: every distance checked here is read from the
 profile that ``oracle.report_from_graph`` has agreed over the oracle's
 sources, as many as ``oracle.source_count`` decides for every caller.
 The checks fall in two blocks.  The report block, ``_check_report``,
-reads a measured report and no graph: the one comparison with the
-closed-form report, then the lower bounds, the distance-2 criterion,
-the witnesses and the maximum route, each read from the measured report
-alone, so a wrong closed form fails one line, and any ground truth that
+reads a report and a source count and no graph: the one comparison
+with ``invariant_report``, then the lower bounds, the distance-2
+criterion, the witnesses and the maximum route, each over the classes
+the report measured and each reading at most its own lemma's closed
+form, so a wrong closed form fails one line, and any ground truth that
 gives a report (``scheme.scheme_report`` among them) can pass it where
 no graph is built.  The graph block, ``_run_checks``, reads the graph:
 degrees, the oracle's agreed report and pair sampling, then the report
@@ -137,12 +138,12 @@ def _compared(rep, shift: int = 0) -> dict:
             "distance_profile": {x + shift: d for x, d in rep.distance_profile.items()}}
 
 
-def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, pairs: dict[int, int]) -> None:
+def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, sources: int) -> None:
     """Path-length lower bounds on the agreed profile: a shortest path of
     length 2p needs p >= ceil((k-x)/delta), of length 2p+1 needs
     p >= ceil((x-i)/delta).  Every vertex of class x lies at profile[x]
-    from every source, so one check per class stands for its pairs[x]
-    (source, vertex) pairs."""
+    from every source, so one check per class stands for its
+    class_size(p, x) * sources (source, vertex) pairs."""
     d = delta(p)
     if d <= 0:
         return
@@ -152,15 +153,14 @@ def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, pairs: d
             # ceil(a/d) as -(-a // d), which holds for a = x - i < 0 too
             need = -((p.i - x if odd else x - p.k) // d)
             _check(res, "lower_bound", half >= need,
-                   f"x={x}: distance {dist} needs {2 * need + odd}", count=pairs[x])
+                   f"x={x}: distance {dist} needs {2 * need + odd}", count=class_size(p, x) * sources)
 
 
 def _check_witnesses(res: TripleResult, p: Parameters, measured) -> None:
-    """Geodesics, shortest cycle and odd walk: each walk passes verify_walk
-    at exactly the measured length."""
-    for x in intersection_range(p):
+    """Geodesics at each measured class, shortest cycle and odd walk: each
+    walk passes verify_walk at exactly the measured length."""
+    for x, want in measured.distance_profile.items():
         w = witness.geodesic(p, *witness.canonical_pair(p, x))
-        want = measured.distance_profile[x]
         _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == want,
                f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or measured {want}")
     cyc = witness.shortest_cycle(p)
@@ -175,7 +175,7 @@ def _check_max_route(res: TripleResult, p: Parameters, profile: dict) -> None:
     """Closed-form maximum over x = i+1 .. k against the largest measured distance there."""
     if p.k - p.i < 2:
         return
-    peak = max(profile[x] for x in range(p.i + 1, p.k + 1))
+    peak = max(d for x, d in profile.items() if x > p.i)
     closed = formulas.max_route_distance(p)
     _check(res, "max_route", peak == closed, f"measured {peak} != closed form {closed}")
 
@@ -215,12 +215,12 @@ def _check_pairing(res: TripleResult, g: oracle.ExplicitGraph) -> None:
     _check(res, "matching", exact, "a vertex's only neighbor is not its complement")
 
 
-def _check_common_neighbors(res: TripleResult, p: Parameters, g: oracle.ExplicitGraph) -> None:
+def _check_common_neighbors(res: TripleResult, p: Parameters, g: oracle.ExplicitGraph, profile: dict) -> None:
     """The common-neighbour predicate and construction against the packed
-    adjacency rows of each canonical pair; where a wrongly claimed
-    neighbour makes the construction raise, that is recorded and the
-    checks go on."""
-    for x in intersection_range(p):
+    adjacency rows of the canonical pair of each measured class; where a
+    wrongly claimed neighbour makes the construction raise, that is
+    recorded and the checks go on."""
+    for x in profile:
         a, b = witness.canonical_pair(p, x)
         shared = g.adj[graphio.rank(p, a)] & g.adj[graphio.rank(p, b)]
         found = bool(shared.any())
@@ -253,20 +253,21 @@ def _check_matching(res: TripleResult, p: Parameters) -> None:
                f"{op.__name__} should reject a matching")
 
 
-def _check_report(res: TripleResult, p: Parameters, measured, pairs: dict[int, int]) -> None:
+def _check_report(res: TripleResult, report: InvariantReport, sources: int) -> None:
     """Every check that reads a measured report and no graph: the one
     comparison with the closed-form report, the lower bounds, the
     distance-2 criterion, then a matching's report checks, or the
-    witnesses (normal forms only) and the maximum route.  pairs[x] is the
-    number of (source, vertex) pairs of class x that the report stands
-    for; a ground truth that reads the whole class passes its size."""
-    profile = measured.distance_profile
-    # The closed forms are read here only; every later check reads the measured report.
-    got = _compared(measured)
+    witnesses (normal forms only) and the maximum route, each over the
+    classes the report measured for report.params.  Each class x stands
+    for class_size(p, x) * sources (source, vertex) pairs: a graph's
+    agreed report passes oracle.source_count(p), the quotient 1."""
+    p, profile = report.params, report.distance_profile
+    # invariant_report is read here once; each lemma's closed form only by its own check.
+    got = _compared(report)
     for name, want in _compared(invariant_report(p)).items():
         _check(res, name, want == got[name], f"formula {want}, oracle {got[name]}",
                count=len(profile) if name == "distance_profile" else 1)
-    _check_lower_bound(res, p, profile, pairs)
+    _check_lower_bound(res, p, profile, sources)
     if p.is_degenerate:
         return
     # Distance-2 criterion: beyond adjacency, two vertices are at
@@ -281,7 +282,7 @@ def _check_report(res: TripleResult, p: Parameters, measured, pairs: dict[int, i
         # Witnesses for v < 2k are checked in tests/test_witness.py; here they
         # would change the per-triple tallies in perfbench/expected/sweep.json.
         if p.is_normalized:
-            _check_witnesses(res, p, measured)
+            _check_witnesses(res, p, report)
         _check_max_route(res, p, profile)
 
 
@@ -305,21 +306,21 @@ def _run_checks(res: TripleResult, p: Parameters, max_vertices: int) -> None:
     # the agreed profile.
     _check(res, "transitivity", True, "", count=3 * min(4, n))
 
-    # Sampled pairs: each (source, vertex) pair is one sample for its class;
-    # report_from_graph has agreed every source's profile.
-    pairs = {x: class_size(p, x) * oracle.source_count(p) for x in intersection_range(p)}
-    for x, sampled in pairs.items():
+    # Sampled pairs: each (source, vertex) pair of a measured class is one
+    # sample for it; report_from_graph has agreed every source's profile.
+    sources = oracle.source_count(p)
+    for x in measured.distance_profile:
         if x == p.k:
             continue  # only identical pairs; distance 0 holds per source by construction
-        wanted = min(oracle.MIN_PAIR_SAMPLES, class_size(p, x) * n)
+        sampled, wanted = class_size(p, x) * sources, min(oracle.MIN_PAIR_SAMPLES, class_size(p, x) * n)
         _check(res, "pair_sampling", sampled >= wanted, f"x={x}: only {sampled} sampled pairs",
                count=min(sampled, wanted))
 
-    _check_report(res, p, measured, pairs)
+    _check_report(res, measured, sources)
     if p.graph_class is GraphClass.MATCHING:
         _check_pairing(res, g)
     elif p.is_normalized and not p.is_degenerate:
-        _check_common_neighbors(res, p, g)
+        _check_common_neighbors(res, p, g, measured.distance_profile)
     _check_rank_roundtrip(res, p, n)
 
 

@@ -5,11 +5,19 @@ and asserts which check fails and where.  A check that no fault can trip
 is dead code; a fault that no check trips is an untested promise.
 """
 
+import __future__
+import inspect
+import math
+import textwrap
 import time
+
+import pytest
 
 import gjg
 from gjg import cli, formulas, graphio, oracle, params, scheme, sweep, witness
-from gjg.sweep import check_triple
+from gjg.params import make_parameters
+from gjg.scheme import scheme_report
+from gjg.sweep import TripleResult, _check_report, check_triple
 
 # Every module of the package; a fault is patched wherever its name is bound.
 MODULES = (gjg, cli, formulas, graphio, oracle, params, scheme, sweep, witness)
@@ -17,7 +25,7 @@ MODULES = (gjg, cli, formulas, graphio, oracle, params, scheme, sweep, witness)
 
 def _patch_everywhere(monkeypatch, name: str, fault) -> None:
     bound = [m for m in MODULES if hasattr(m, name)]
-    assert params in bound
+    assert bound, name
     for module in bound:
         monkeypatch.setattr(module, name, fault)
 
@@ -25,8 +33,10 @@ def _patch_everywhere(monkeypatch, name: str, fault) -> None:
 def test_range_fault_fails_the_profile_at_every_triple(monkeypatch):
     # intersection_range drops x = 0 where v >= 2k+2, k >= 3 and i >= 1,
     # 23 triples with v <= 12.  The oracle keys its profile by the classes
-    # the graph has, so each fails the profile comparison first; an
-    # internal line follows, the sweep's pair counts having no x = 0.
+    # the graph has, so each fails the profile comparison first, and every
+    # later check reads the measured classes, so each runs its lower
+    # bounds.  An internal line follows: formulas.has_common_neighbor
+    # rejects x = 0 as outside the faulted range.
     # Measured at 0.03-0.04 s on a 2-vCPU VM.
     real = params.intersection_range
 
@@ -43,4 +53,79 @@ def test_range_fault_fails_the_profile_at_every_triple(monkeypatch):
     elapsed = time.perf_counter() - start
     missed = [r.triple for r in results if not r.failures or not r.failures[0].startswith("distance_profile:")]
     assert missed == []
+    assert [r.triple for r in results if "lower_bound" not in r.checks] == []
+    assert [f for r in results for f in r.failures if f.startswith("internal: KeyError")] == []
     assert elapsed < 2, f"{elapsed:.2f} s"
+
+
+def _mutant(fn, old: str, new: str):
+    """fn recompiled from its source with the one occurrence of old
+    replaced by new, reading the globals of fn's module."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = {}
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+# Faults in the closed forms: (function, text, faulty text, the one tally
+# category that must fail, how many non-degenerate triples with v <= 24 it
+# fails on the quotient).  The distance fault counts x = k - delta into
+# case 1 wherever that is below i; taking x = i in too fails 276 triples.
+FORMULA_FAULTS = {
+    "odd girth by floor": (
+        "odd_girth", "2 * ceil_div(p.k - p.i, delta(p)) + 1", "2 * ((p.k - p.i) // delta(p)) + 1",
+        "odd_girth", 1121),
+    "girth 3 read as v > 3(k-i)": (
+        "girth", "if v >= 3 * (k - i):", "if v > 3 * (k - i):", "girth", 44),
+    "common neighbour strict at max(k-delta, 2i-k)": (
+        "has_common_neighbor", ">= max(p.k - delta(p), 2 * p.i - p.k)",
+        "> max(p.k - delta(p), 2 * p.i - p.k)", "common_neighbor", 762),
+    "max route + 1 at delta = 1": (
+        "max_route_distance", "delta(p)) + 1", "delta(p)) + 1 + (delta(p) == 1)", "max_route", 20),
+    "diameter case 1 read as v <= 3(k-i)-1": (
+        "diameter", "if v < 3 * (k - i) - 1 or i == 0:", "if v <= 3 * (k - i) - 1 or i == 0:",
+        "diameter", 21),
+    "distance case 1 up to x = k-delta": (
+        "distance_by_intersection", "if x < min(i, k - d):", "if x < min(i, k - d + 1):",
+        "distance_profile", 74),
+}
+
+
+def test_formula_faults_fail_their_own_category_on_the_quotient(monkeypatch):
+    # Each fault runs through the report block on the quotient's report of
+    # every non-degenerate triple with v <= 24, with no graph built, and
+    # fails its own category alone.  Measured at about 2 s on a 2-vCPU VM.
+    def no_graph(*args):
+        raise AssertionError("the report block built a graph")
+
+    monkeypatch.setattr(oracle, "build_graph", no_graph)
+    start = time.perf_counter()
+    quotients = [scheme_report(p) for v in range(25) for k in range(v + 1) for i in range(k + 1)
+                 if not (p := make_parameters(v, k, i)).is_degenerate]
+    assert len(quotients) == 1222
+    caught = {}
+    for label, (name, old, new, _, _) in FORMULA_FAULTS.items():
+        categories, failed = set(), 0
+        with pytest.MonkeyPatch.context() as mp:
+            _patch_everywhere(mp, name, _mutant(getattr(formulas, name), old, new))
+            for report in quotients:
+                p = report.params
+                res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
+                _check_report(res, report, 1)
+                categories.update(f.split(":")[0] for f in res.failures)
+                failed += bool(res.failures)
+        caught[label] = (categories, failed)
+    elapsed = time.perf_counter() - start
+    assert caught == {label: ({row[3]}, row[4]) for label, row in FORMULA_FAULTS.items()}
+    assert elapsed < 20, f"{elapsed:.1f} s"
+
+
+def test_float_ceiling_fault_misreads_a_large_odd_girth(monkeypatch):
+    # A float ceiling loses the exact quotient once the numerator passes 2^53.
+    p = make_parameters(2**60 + 1, 2**59, 1)
+    assert formulas.odd_girth(p) == 384307168202282327
+    _patch_everywhere(monkeypatch, "ceil_div", lambda a, b: math.ceil(a / b))
+    assert formulas.odd_girth(p) != 384307168202282327

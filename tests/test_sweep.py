@@ -13,7 +13,7 @@ import gjg.oracle
 import gjg.sweep
 import gjg.witness
 from gjg.oracle import OracleReport, _sources, build_graph
-from gjg.params import class_size, intersection_range, make_parameters
+from gjg.params import make_parameters
 from gjg.scheme import scheme_report
 from gjg.sweep import (
     SweepConfig,
@@ -369,8 +369,7 @@ def test_report_block_passes_the_quotient_up_to_32(monkeypatch):
     failed, tallied = [], Counter()
     for p in triples:
         res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
-        pairs = {x: class_size(p, x) for x in intersection_range(p)}
-        _check_report(res, p, scheme_report(p), pairs)
+        _check_report(res, scheme_report(p), 1)
         failed += res.failures
         tallied.update(res.checks.keys())
     elapsed = time.perf_counter() - start
@@ -378,6 +377,19 @@ def test_report_block_passes_the_quotient_up_to_32(monkeypatch):
     assert all(tallied[name] == 2856 for name in ("girth", "odd_girth", "diameter", "distance_profile"))
     assert tallied["witness"] > 0 and tallied["max_route"] > 0 and tallied["lower_bound"] > 0
     assert elapsed < 12, f"{elapsed:.1f} s"
+
+
+def test_a_report_missing_a_class_fails_its_comparison_alone():
+    # Every check after the comparison reads the classes the report
+    # measured, so J(9,4,1)'s quotient without x = 2 fails one line.
+    p = make_parameters(9, 4, 1)
+    full = scheme_report(p)
+    report = full._replace(distance_profile={x: d for x, d in full.distance_profile.items() if x != 2})
+    res = TripleResult(9, 4, 1, 126, p.graph_class.value)
+    _check_report(res, report, 1)
+    assert res.failures == [
+        "distance_profile: formula {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}, oracle {0: 3, 1: 1, 3: 2, 4: 0}"]
+    assert res.checks["witness"] == 4 + 2 and res.checks["max_route"] == 1
 
 
 def test_interface_probes_run_under_default_config():
