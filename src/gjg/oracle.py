@@ -41,8 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded, Unsupported
-from .params import (INFINITE, InvariantReport, Parameters, class_size, intersection_range,
-                     intersection_size, rank_index)
+from .params import INFINITE, InvariantReport, Parameters, class_size, intersection_size, rank_index
 
 DEFAULT_VERTEX_BUDGET = 20_000
 MAX_GROUND_SET = 64
@@ -387,10 +386,11 @@ def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
 def source_count(p: Parameters) -> int:
     """How many BFS sources every measurement of p agrees over: up to
     MIN_PAIR_SAMPLES vertices when there are at most _SMALL_GRAPH, or when
-    some class other than x = k (the source itself) gives three sources
-    fewer than MIN_PAIR_SAMPLES (source, vertex) pairs; otherwise four."""
+    some class other than x = k (the source itself) that has a vertex gives
+    three sources fewer than MIN_PAIR_SAMPLES (source, vertex) pairs;
+    otherwise four."""
     n = math.comb(p.v, p.k)
-    if n <= _SMALL_GRAPH or min(class_size(p, x) for x in intersection_range(p)[:-1]) * 3 < MIN_PAIR_SAMPLES:
+    if n <= _SMALL_GRAPH or min(c for x in range(p.k) if (c := class_size(p, x))) * 3 < MIN_PAIR_SAMPLES:
         return min(n, MIN_PAIR_SAMPLES)
     return 4
 

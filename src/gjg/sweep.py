@@ -9,14 +9,18 @@ profile that ``oracle.report_from_graph`` has agreed over the oracle's
 sources, as many as ``oracle.source_count`` decides for every caller.
 The checks fall in two blocks.  The report block, ``_check_report``,
 reads a report and a source count and no graph: the one comparison
-with ``invariant_report``, then the lower bounds, the distance-2
-criterion, the witnesses and the maximum route, each over the classes
-the report measured and each reading at most its own lemma's closed
-form, so a wrong closed form fails one line, and any ground truth that
-gives a report (``scheme.scheme_report`` among them) can pass it where
-no graph is built.  The graph block, ``_run_checks``, reads the graph:
-degrees, the oracle's agreed report and pair sampling, then the report
-block, then the adjacency checks and the rank round trip.
+with ``invariant_report``, then the lower bounds, the common-neighbour
+lemma, the witnesses and the maximum route, each over the classes the
+report measured and each reading at most its own lemma's closed form,
+so a wrong closed form fails one line, and any ground truth that gives
+a report (``scheme.scheme_report`` among them) can pass it where no
+graph is built.  The lemma is read once per class and compared with
+the report: at x = k with True, at x = i with a girth of 3, elsewhere
+with a distance of 2.  The graph block, ``_run_checks``, reads the
+graph: degrees, the oracle's agreed report and pair sampling, then the
+report block, then the adjacency rows against the certificates and the
+rank round trip; no check of its own reads a closed form.  A
+certificate whose construction raises fails its own witness line.
 Witnesses are checked here only for v >= 2k; ``tests/test_witness.py``
 covers the lifted constructions for v < 2k.  Results carry the oracle's
 report so the complement isomorphism can be checked across triples
@@ -37,7 +41,7 @@ from itertools import starmap
 import numpy as np
 
 from . import formulas, graphio, oracle, witness
-from .errors import DegenerateClass, Disconnected, NoCommonNeighbor, OutOfRange
+from .errors import DegenerateClass, Disconnected, GJGError, NoCommonNeighbor, OutOfRange
 from .formulas import invariant_report
 from .params import (INFINITE, GraphClass, InvariantReport, Parameters, class_size, delta,
                      intersection_range, make_parameters, normalize)
@@ -156,19 +160,25 @@ def _check_lower_bound(res: TripleResult, p: Parameters, profile: dict, sources:
                    f"x={x}: distance {dist} needs {2 * need + odd}", count=class_size(p, x) * sources)
 
 
-def _check_witnesses(res: TripleResult, p: Parameters, measured) -> None:
-    """Geodesics at each measured class, shortest cycle and odd walk: each
-    walk passes verify_walk at exactly the measured length."""
-    for x, want in measured.distance_profile.items():
-        w = witness.geodesic(p, *witness.canonical_pair(p, x))
+def _check_walk(res: TripleResult, p: Parameters, label: str, want, build, *ends) -> None:
+    """One witness line: build(p, *ends) passes verify_walk at exactly the
+    measured length want.  A construction that raises, by its own check
+    or a domain error, fails this line and the triple's checks go on."""
+    try:
+        w = build(p, *ends)
+    except (AssertionError, GJGError) as exc:
+        _check(res, "witness", False, f"{label}: {type(exc).__name__}: {exc}")
+    else:
         _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == want,
-               f"geodesic at x={x} of length {w.claimed_length} fails verify_walk or measured {want}")
-    cyc = witness.shortest_cycle(p)
-    _check(res, "witness", witness.verify_walk(p, cyc) and cyc.claimed_length == measured.girth,
-           f"shortest_cycle length {cyc.claimed_length} != measured girth {measured.girth}")
-    ow = witness.odd_closed_walk(p)
-    _check(res, "witness", witness.verify_walk(p, ow) and ow.claimed_length == measured.odd_girth,
-           f"odd walk length {ow.claimed_length} != measured odd girth {measured.odd_girth}")
+               f"{label} of length {w.claimed_length} fails verify_walk or measured {want}")
+
+
+def _check_witnesses(res: TripleResult, p: Parameters, measured) -> None:
+    """Geodesics at each measured class, shortest cycle and odd walk."""
+    for x, want in measured.distance_profile.items():
+        _check_walk(res, p, f"geodesic at x={x}", want, witness.geodesic, *witness.canonical_pair(p, x))
+    _check_walk(res, p, "shortest_cycle", measured.girth, witness.shortest_cycle)
+    _check_walk(res, p, "odd walk", measured.odd_girth, witness.odd_closed_walk)
 
 
 def _check_max_route(res: TripleResult, p: Parameters, profile: dict) -> None:
@@ -216,51 +226,45 @@ def _check_pairing(res: TripleResult, g: oracle.ExplicitGraph) -> None:
 
 
 def _check_common_neighbors(res: TripleResult, p: Parameters, g: oracle.ExplicitGraph, profile: dict) -> None:
-    """The common-neighbour predicate and construction against the packed
-    adjacency rows of the canonical pair of each measured class; where a
-    wrongly claimed neighbour makes the construction raise, that is
-    recorded and the checks go on."""
+    """The common-neighbour construction against the packed adjacency rows
+    of the canonical pair of each measured class: it builds a vertex in
+    both rows exactly when the rows share one."""
     for x in profile:
         a, b = witness.canonical_pair(p, x)
         shared = g.adj[graphio.rank(p, a)] & g.adj[graphio.rank(p, b)]
-        found = bool(shared.any())
-        claims = formulas.has_common_neighbor(p, x)
-        _check(res, "common_neighbor", claims == found, f"x={x}: formula {claims}, oracle {found}")
         try:
             c = witness.common_neighbor(p, a, b)
         except NoCommonNeighbor as exc:
-            _check(res, "common_neighbor", not claims, f"x={x}: no witness constructed: {exc}", count=0)
+            _check(res, "common_neighbor", not shared.any(), f"x={x}: no witness constructed: {exc}")
         else:
             rc = graphio.rank(p, c)
-            adjacent = len(set(c) & set(a)) == p.i == len(set(c) & set(b))
-            _check(res, "common_neighbor", claims and adjacent and bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
-                   f"x={x}: constructed witness {c} is not a shared neighbor" if claims
-                   else f"x={x}: expected NoCommonNeighbor", count=0)
+            _check(res, "common_neighbor", bool(shared[rc >> 3] & 0x80 >> (rc & 7)),
+                   f"x={x}: constructed witness {c} is not a shared neighbor")
 
 
 def _check_matching(res: TripleResult, p: Parameters) -> None:
     """Witnesses on a matching (2k,k,0), the class the paper excludes: its
     edges, partial overlaps and cycles.  The comparison checks its report,
     infinite distances and all, and ``_check_pairing`` its adjacency."""
-    w = witness.geodesic(p, *witness.canonical_pair(p, 0))
-    _check(res, "witness", witness.verify_walk(p, w) and w.claimed_length == 1,
-           "matching edge geodesic invalid")
+    _check_walk(res, p, "matching edge geodesic", 1, witness.geodesic, *witness.canonical_pair(p, 0))
     if p.k >= 2:
         _check(res, "witness", _raises(Disconnected, witness.geodesic, p, *witness.canonical_pair(p, 1)),
                "expected Disconnected for partial overlap")
     for op in (witness.shortest_cycle, witness.odd_closed_walk):
-        _check(res, "witness", _raises(DegenerateClass, op, p),
-               f"{op.__name__} should reject a matching")
+        _check(res, "witness", _raises(DegenerateClass, op, p), f"{op.__name__} should reject a matching")
 
 
 def _check_report(res: TripleResult, report: InvariantReport, sources: int) -> None:
     """Every check that reads a measured report and no graph: the one
     comparison with the closed-form report, the lower bounds, the
-    distance-2 criterion, then a matching's report checks, or the
+    common-neighbour lemma, then a matching's report checks, or the
     witnesses (normal forms only) and the maximum route, each over the
-    classes the report measured for report.params.  Each class x stands
-    for class_size(p, x) * sources (source, vertex) pairs: a graph's
-    agreed report passes oracle.source_count(p), the quotient 1."""
+    classes the report measured for report.params.  The lemma is compared
+    at x = k with True, at x = i with the report's girth being 3, and
+    elsewhere with its distance being 2; only classes at a distance
+    other than 0 and 1 are tallied.  Each class x stands for class_size(p, x) * sources (source,
+    vertex) pairs: a graph's agreed report passes oracle.source_count(p),
+    the quotient 1."""
     p, profile = report.params, report.distance_profile
     # invariant_report is read here once; each lemma's closed form only by its own check.
     got = _compared(report)
@@ -270,12 +274,14 @@ def _check_report(res: TripleResult, report: InvariantReport, sources: int) -> N
     _check_lower_bound(res, p, profile, sources)
     if p.is_degenerate:
         return
-    # Distance-2 criterion: beyond adjacency, two vertices are at
-    # distance exactly 2 iff they have a common neighbor.
+    # A vertex shares its neighbours with itself, an edge lies on a
+    # triangle iff the girth is 3 (edge transitivity), and beyond adjacency
+    # two vertices are at distance exactly 2 iff they share a neighbour.
     for x, dval in profile.items():
-        if dval != 0 and dval != 1:
-            _check(res, "common_neighbor", (dval == 2) == formulas.has_common_neighbor(p, x),
-                   f"x={x}: distance {dval} contradicts predicate")
+        shares = True if x == p.k else report.girth == 3 if x == p.i else dval == 2
+        _check(res, "common_neighbor", shares == formulas.has_common_neighbor(p, x),
+               f"x={x}: {f'girth {report.girth}' if x == p.i else f'distance {dval}'} contradicts predicate",
+               count=int(dval != 0 and dval != 1))
     if p.graph_class is GraphClass.MATCHING:
         _check_matching(res, p)
     else:

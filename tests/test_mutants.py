@@ -6,6 +6,7 @@ is dead code; a fault that no check trips is an untested promise.
 """
 
 import __future__
+import functools
 import inspect
 import math
 import textwrap
@@ -70,10 +71,12 @@ def _mutant(fn, old: str, new: str):
     return namespace[fn.__name__]
 
 
-# Faults in the closed forms: (function, text, faulty text, the one tally
-# category that must fail, how many non-degenerate triples with v <= 24 it
-# fails on the quotient).  The distance fault counts x = k - delta into
-# case 1 wherever that is below i; taking x = i in too fails 276 triples.
+# Faults that the report block must catch on the quotient: (function,
+# text, faulty text, the one tally category that must fail, how many
+# non-degenerate triples with v <= 24 it fails).  The distance fault
+# counts x = k - delta into case 1 wherever that is below i; taking x = i
+# in too fails 276 triples.  The strict common-neighbour fault fails at
+# x = k on every matching and at x = i wherever v = 3(k-i).
 FORMULA_FAULTS = {
     "odd girth by floor": (
         "odd_girth", "2 * ceil_div(p.k - p.i, delta(p)) + 1", "2 * ((p.k - p.i) // delta(p)) + 1",
@@ -82,7 +85,7 @@ FORMULA_FAULTS = {
         "girth", "if v >= 3 * (k - i):", "if v > 3 * (k - i):", "girth", 44),
     "common neighbour strict at max(k-delta, 2i-k)": (
         "has_common_neighbor", ">= max(p.k - delta(p), 2 * p.i - p.k)",
-        "> max(p.k - delta(p), 2 * p.i - p.k)", "common_neighbor", 762),
+        "> max(p.k - delta(p), 2 * p.i - p.k)", "common_neighbor", 818),
     "max route + 1 at delta = 1": (
         "max_route_distance", "delta(p)) + 1", "delta(p)) + 1 + (delta(p) == 1)", "max_route", 20),
     "diameter case 1 read as v <= 3(k-i)-1": (
@@ -93,33 +96,75 @@ FORMULA_FAULTS = {
         "distance_profile", 74),
 }
 
+# Faults in the certificates, in the same form.  The longer geodesic also
+# breaks the odd walk's leg check, which raises inside the construction.
+WITNESS_FAULTS = {
+    "geodesic claims one more step": (
+        "_geodesic", "len(path) - 1)", "len(path))", "witness", 616),
+    "shortest cycle refuses its triangle": (
+        "_shortest_cycle", "if (triangle := _triangle(p)) is not None:",
+        "if (triangle := None) is not None:", "witness", 550),
+}
 
-def test_formula_faults_fail_their_own_category_on_the_quotient(monkeypatch):
-    # Each fault runs through the report block on the quotient's report of
-    # every non-degenerate triple with v <= 24, with no graph built, and
-    # fails its own category alone.  Measured at about 2 s on a 2-vCPU VM.
+
+@functools.cache
+def _quotients() -> tuple:
+    """The quotient's report of every non-degenerate triple with v <= 24."""
+    return tuple(scheme_report(p) for v in range(25) for k in range(v + 1) for i in range(k + 1)
+                 if not (p := make_parameters(v, k, i)).is_degenerate)
+
+
+def _caught_on_the_quotient(monkeypatch, module, faults: dict) -> dict:
+    """Each fault of module patched in alone, run through the report block
+    on every quotient report, with no graph built: its label mapped to the
+    tally categories that fail and the triples that fail."""
     def no_graph(*args):
         raise AssertionError("the report block built a graph")
 
     monkeypatch.setattr(oracle, "build_graph", no_graph)
-    start = time.perf_counter()
-    quotients = [scheme_report(p) for v in range(25) for k in range(v + 1) for i in range(k + 1)
-                 if not (p := make_parameters(v, k, i)).is_degenerate]
-    assert len(quotients) == 1222
+    assert len(_quotients()) == 1222
     caught = {}
-    for label, (name, old, new, _, _) in FORMULA_FAULTS.items():
-        categories, failed = set(), 0
+    for label, (name, old, new, _, _) in faults.items():
+        categories, failed = set(), set()
         with pytest.MonkeyPatch.context() as mp:
-            _patch_everywhere(mp, name, _mutant(getattr(formulas, name), old, new))
-            for report in quotients:
+            _patch_everywhere(mp, name, _mutant(getattr(module, name), old, new))
+            for report in _quotients():
                 p = report.params
                 res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
                 _check_report(res, report, 1)
                 categories.update(f.split(":")[0] for f in res.failures)
-                failed += bool(res.failures)
+                if res.failures:
+                    failed.add(res.triple)
         caught[label] = (categories, failed)
+    return caught
+
+
+def test_formula_faults_fail_their_own_category_on_the_quotient(monkeypatch):
+    # Each fault fails its own category alone.  Measured at about 2 s on a
+    # 2-vCPU VM.
+    start = time.perf_counter()
+    caught = _caught_on_the_quotient(monkeypatch, formulas, FORMULA_FAULTS)
     elapsed = time.perf_counter() - start
-    assert caught == {label: ({row[3]}, row[4]) for label, row in FORMULA_FAULTS.items()}
+    assert {label: (categories, len(failed)) for label, (categories, failed) in caught.items()} == {
+        label: ({row[3]}, row[4]) for label, row in FORMULA_FAULTS.items()}
+    # The lemma at x = i is the girth-3 condition, at x = k a vertex's own
+    # neighbours; a matching J(2k,k,0) has no neighbour shared at x = k.
+    strict = caught["common neighbour strict at max(k-delta, 2i-k)"][1]
+    at_i = {(p.v, p.k, p.i) for r in _quotients() if (p := r.params).v == 3 * (p.k - p.i)}
+    matchings = {(2 * k, k, 0) for k in range(1, 13)}
+    assert len(at_i) == 44 and at_i <= strict
+    assert matchings <= strict
+    assert elapsed < 20, f"{elapsed:.1f} s"
+
+
+def test_witness_faults_fail_the_witness_line_alone_on_the_quotient(monkeypatch):
+    # A construction that raises fails its own witness line, and the
+    # report block goes on.  Measured at about 1 s on a 2-vCPU VM.
+    start = time.perf_counter()
+    caught = _caught_on_the_quotient(monkeypatch, witness, WITNESS_FAULTS)
+    elapsed = time.perf_counter() - start
+    assert {label: (categories, len(failed)) for label, (categories, failed) in caught.items()} == {
+        label: ({row[3]}, row[4]) for label, row in WITNESS_FAULTS.items()}
     assert elapsed < 20, f"{elapsed:.1f} s"
 
 

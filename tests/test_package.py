@@ -49,6 +49,24 @@ def test_module_spine(name, never, only):
         assert pulled <= only, pulled
 
 
+def test_graph_block_reads_no_closed_form():
+    # The graph block checks the graph and the certificates against each
+    # other; only the report block compares with the closed forms.
+    tree = ast.parse(inspect.getsource(importlib.import_module("gjg.sweep")))
+    graph_block = {"_run_checks", "_check_common_neighbors", "_check_pairing", "_check_rank_roundtrip"}
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in graph_block]
+    assert {f.name for f in functions} == graph_block
+    named = {(f.name, node.id) for f in functions for node in ast.walk(f)
+             if isinstance(node, ast.Name) and node.id in ("formulas", "invariant_report")}
+    assert named == set()
+
+
+def test_oracle_binds_no_intersection_range():
+    # The oracle keys its classes by what it measures, never by the range
+    # of possible intersection sizes.
+    assert not hasattr(importlib.import_module("gjg.oracle"), "intersection_range")
+
+
 def test_sweep_reads_no_private_oracle_name():
     # The oracle decides how it measures, its sources among it; the sweep
     # asks only through public names.

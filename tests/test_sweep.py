@@ -208,15 +208,45 @@ class TestCheckTriple:
         assert all(m.endswith("is not a shared neighbor") for m in r.failures)
 
     def test_detects_a_negated_common_neighbor_predicate(self, monkeypatch):
+        # The report block compares the predicate with the report at every
+        # class: x = 4 with the vertex itself, x = i = 1 with the girth, the
+        # rest with the distance.  The construction agrees with the rows,
+        # so the graph block adds no line, and every later check still runs.
         real = gjg.formulas.has_common_neighbor
         monkeypatch.setattr(gjg.formulas, "has_common_neighbor", lambda p, x: not real(p, x))
         r = check_triple(9, 4, 1)
-        assert any(m.startswith("common_neighbor: x=") and "formula" in m for m in r.failures), r.failures
-        # At x=0 the predicate claims a neighbour the construction cannot
-        # build; that is recorded and every later check still runs.
-        assert "common_neighbor: x=0: no witness constructed: " in "\n".join(r.failures)
+        assert r.failures == [
+            "common_neighbor: x=0: distance 3 contradicts predicate",
+            "common_neighbor: x=1: girth 3 contradicts predicate",
+            "common_neighbor: x=2: distance 2 contradicts predicate",
+            "common_neighbor: x=3: distance 2 contradicts predicate",
+            "common_neighbor: x=4: distance 0 contradicts predicate",
+        ], r.failures
         assert not any(m.startswith("internal:") for m in r.failures), r.failures
-        assert any(m.startswith("common_neighbor: x=4:") for m in r.failures), r.failures
+        assert r.checks["rank_roundtrip"] == 126
+
+    def test_reads_the_common_neighbor_predicate_once_per_class(self, monkeypatch):
+        # J(9,4,1) has the five classes x = 0..4; only the report block
+        # reads the predicate.
+        calls = Counter()
+        real = gjg.formulas.has_common_neighbor
+
+        def counted(p, x):
+            calls[x] += 1
+            return real(p, x)
+
+        monkeypatch.setattr(gjg.formulas, "has_common_neighbor", counted)
+        assert check_triple(9, 4, 1).passed
+        assert calls == dict.fromkeys(range(5), 1)
+
+    def test_a_construction_that_raises_fails_its_witness_line_alone(self, monkeypatch):
+        # The odd walk's own check raises; the triple's other checks go on.
+        def broken(p):
+            raise AssertionError("odd_closed_walk built an invalid walk")
+
+        monkeypatch.setattr(gjg.witness, "odd_closed_walk", broken)
+        r = check_triple(9, 4, 1)
+        assert r.failures == ["witness: odd walk: AssertionError: odd_closed_walk built an invalid walk"]
         assert r.checks["rank_roundtrip"] == 126
 
     def test_detects_lower_bound_violation(self, monkeypatch):
