@@ -17,7 +17,6 @@ from . import graphio, witness
 from .errors import GJGError
 from .formulas import invariant_report
 from .params import Parameters, delta, make_parameters, vertex
-from .witness import Walk
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -102,9 +101,15 @@ def _print_report_text(rep) -> None:
         print(f"  x={x}: {graphio.format_value(rep.distance_profile[x])}")
 
 
-def _print_walk(p: Parameters, w: Walk, label: str) -> int:
-    """Verify the walk, then print it; a walk that fails verification is
-    not printed, only one line on stderr, and the exit code is 1."""
+def _print_walk(p: Parameters, build, label: str) -> int:
+    """Build the walk by calling build(), verify it, then print it.  A
+    construction that fails its own check (AssertionError) counts as a
+    walk that fails verification: nothing is printed but one line on
+    stderr, and the exit code is 1."""
+    try:
+        w = build()
+    except AssertionError:
+        w = None  # verify_walk rejects anything but a Walk
     if not witness.verify_walk(p, w):
         print("internal error: constructed walk failed verification", file=sys.stderr)
         return EXIT_DOMAIN
@@ -129,23 +134,19 @@ def cmd_distance(args) -> int:
     p = make_parameters(args.v, args.k, args.i)
     a, b = _vertex_pair(p, args, "provide --x or both --a and --b")
     print(graphio.format_value(invariant_report(p).distance_profile[len(set(a) & set(b))]))
-    return _print_walk(p, witness.geodesic(p, a, b), "geodesic") if args.witness else EXIT_OK
+    return _print_walk(p, lambda: witness.geodesic(p, a, b), "geodesic") if args.witness else EXIT_OK
 
 
 def cmd_witness(args) -> int:
     p = make_parameters(args.v, args.k, args.i)
     if args.kind == "geodesic":
-        walk = witness.geodesic(p, *_vertex_pair(p, args, "geodesic needs --x or both --a and --b"))
-        label = "geodesic"
-    elif (args.x, args.a, args.b) != (None, None, None):
+        pair = _vertex_pair(p, args, "geodesic needs --x or both --a and --b")
+        return _print_walk(p, lambda: witness.geodesic(p, *pair), "geodesic")
+    if (args.x, args.a, args.b) != (None, None, None):
         raise _UsageError(f"{args.kind} takes no --x, --a or --b")
-    elif args.kind == "cycle":
-        walk = witness.shortest_cycle(p)
-        label = "cycle"
-    else:
-        walk = witness.odd_closed_walk(p)
-        label = "odd closed walk"
-    return _print_walk(p, walk, label)
+    if args.kind == "cycle":
+        return _print_walk(p, lambda: witness.shortest_cycle(p), "cycle")
+    return _print_walk(p, lambda: witness.odd_closed_walk(p), "odd closed walk")
 
 
 def cmd_export(args) -> int:

@@ -427,7 +427,8 @@ class SweepOutcome:
 
 
 def run_sweep(cfg: SweepConfig, progress=None) -> SweepOutcome:
-    """Check every triple in the sweep; jobs > 1 distributes across processes."""
+    """Check every triple in the sweep; jobs > 1 distributes across processes.
+    Results keep the order of sweep_triples, as map and starmap do."""
     triples = sweep_triples(cfg)
     check = partial(check_triple, max_vertices=cfg.max_vertices)
     results: list[TripleResult] = []
@@ -441,7 +442,6 @@ def run_sweep(cfg: SweepConfig, progress=None) -> SweepOutcome:
             results.append(r)
             if progress:
                 progress(r)
-    results.sort(key=lambda r: r.triple)
     checked, failures = check_complements(results)
     if_checked, if_failures = check_interfaces(cfg)
     return SweepOutcome(results, checked, failures, if_checked, if_failures)

@@ -144,12 +144,14 @@ def canonical_pair(p: Parameters, x: int) -> tuple[VertexSet, VertexSet]:
 
 
 def _even_route(p: Parameters, A: VertexSet, B: VertexSet) -> list[VertexSet]:
-    """Path of length 2*ceil((k-x)/delta) from A to B, valid when that is
-    the distance and x = |A ∩ B| > i.
+    """A path of length 2*ceil((k-x)/delta) from A to B, valid when that
+    is the distance and x = |A ∩ B| > i, up to the vertex two steps before
+    B: that vertex meets B in at least k - delta elements, and one common
+    neighbor of the two closes the path.
 
     Alternates between vertices built on the outside of A ∪ B and on the
     core A ∩ B, shifting delta elements from A's private part to B's per
-    round trip; two final hops go through a common neighbor.
+    round trip.
     """
     k, i, d = p.k, p.i, delta(p)
     path = [A]
@@ -160,8 +162,6 @@ def _even_route(p: Parameters, A: VertexSet, B: VertexSet) -> list[VertexSet]:
             even_step = shared + only_b[: j * d] + only_a[j * d :]
             path.append(tuple(sorted(odd_step)))
             path.append(tuple(sorted(even_step)))
-    path.append(_common_neighbor(p, path[-1], B))
-    path.append(B)
     return path
 
 
@@ -171,7 +171,10 @@ def geodesic(p: Parameters, a: Sequence[int], b: Sequence[int]) -> Walk:
     For intersections above i the route is the shorter of the even
     construction and one edge followed by the even construction from a
     swapped start; below i a chain of (k-i)-element exchanges, or a
-    single detour vertex when the distance is 3.
+    single detour vertex when the distance is 3.  Every route of length 2
+    or more is built up to the vertex two steps before b, which meets b in
+    at least max(k - delta, 2i - k) elements, and ends through one common
+    neighbor of that vertex and b.
     """
     return _lift(p, _geodesic, a, b)
 
@@ -202,19 +205,23 @@ def _geodesic(p: Parameters, A: VertexSet, B: VertexSet) -> Walk:
             path = [A] + _even_route(p, start, B)
         elif x < k - d:
             # Distance 3: detour raising the overlap with B to k - i + x.
-            detour = tuple(sorted(only_a[: i - x] + shared + only_b[: k - i]))
-            path = [A, detour, _common_neighbor(p, detour, B), B]
+            path = [A, tuple(sorted(only_a[: i - x] + shared + only_b[: k - i]))]
         else:
-            # Replace one (k-i)-block of A's private part per step, then
-            # close through a common neighbor; at distance 2 no block moves.
-            steps = ceil_div(k - x, k - i)
-            path = [A]
-            for j in range(1, steps - 1):
-                path.append(tuple(sorted(only_b[: j * (k - i)] + only_a[j * (k - i) :] + shared)))
-            path.append(_common_neighbor(p, path[-1], B))
-            path.append(B)
-
+            # Replace one (k-i)-block of A's private part per step; at
+            # distance 2 no block moves.
+            path = [A] + [tuple(sorted(only_b[: j * (k - i)] + only_a[j * (k - i) :] + shared))
+                          for j in range(1, ceil_div(k - x, k - i) - 1)]
+    path += [_common_neighbor(p, path[-1], B), B]
     return Walk(tuple(path), WalkKind.PATH, len(path) - 1)
+
+
+def _verified(p: Parameters, build, failure: str) -> Walk:
+    """build lifted to p by :func:`_lift`, checked once by verify_walk in
+    p; AssertionError, failure followed by " for p", when the check fails."""
+    w = _lift(p, build)
+    if not verify_walk(p, w):
+        raise AssertionError(f"{failure} for {p}")
+    return w
 
 
 def _six_cycle(p: Parameters) -> list[VertexSet]:
@@ -240,10 +247,7 @@ def shortest_cycle(p: Parameters) -> Walk:
     """A shortest cycle, closed vertex repeated at the end: a triangle on
     the canonical edge where its ends have a common neighbor, else the
     5-cycle of (5,2,0), a 6-cycle of another odd graph, or a 4-cycle."""
-    w = _lift(p, _shortest_cycle)
-    if not verify_walk(p, w):
-        raise AssertionError(f"shortest_cycle built an invalid cycle for {p}")
-    return w
+    return _verified(p, _shortest_cycle, "shortest_cycle built an invalid cycle")
 
 
 def _shortest_cycle(p: Parameters) -> Walk:
@@ -281,10 +285,7 @@ def odd_closed_walk(p: Parameters) -> Walk:
     vertex equidistant from both ends of an edge at distance
     r = ceil((k-i)/delta) and glue the two geodesics.
     """
-    walk = _lift(p, _odd_closed_walk)
-    if not verify_walk(p, walk):
-        raise AssertionError(f"odd_closed_walk built an invalid walk for {p}")
-    return walk
+    return _verified(p, _odd_closed_walk, "odd_closed_walk built an invalid walk")
 
 
 def _odd_closed_walk(p: Parameters) -> Walk:

@@ -229,6 +229,16 @@ class TestWitness:
         assert (code, out) == (1, before)
         assert err == "internal error: constructed walk failed verification\n"
 
+    # shortest_cycle and odd_closed_walk check their own walk and raise
+    # AssertionError when it fails; the CLI reports that as a walk that
+    # failed verification, not as a traceback.
+    @pytest.mark.parametrize("kind", ["cycle", "oddwalk"])
+    def test_closed_certificate_failing_its_own_check_exit_1(self, capsys, monkeypatch, kind):
+        monkeypatch.setattr(gjg.witness, "verify_walk", lambda p, w: False)
+        code, out, err = run(capsys, "witness", "--v", "8", "--k", "4", "--i", "1", kind)
+        assert (code, out) == (1, "")
+        assert err == "internal error: constructed walk failed verification\n"
+
 
 class TestExport:
     def test_dimacs_header(self, capsys):

@@ -1,24 +1,28 @@
 """Named faults that the checks must catch.
 
 Each row patches one fault into every module that binds the faulty name
-and asserts which check fails and where.  A check that no fault can trip
-is dead code; a fault that no check trips is an untested promise.
+(a name of the oracle into the oracle alone) and asserts which check
+fails and where.  A check that no fault can trip is dead code; a fault
+that no check trips is an untested promise.
 """
 
 import __future__
+import dataclasses
 import functools
 import inspect
 import math
 import textwrap
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import gjg
 from gjg import cli, formulas, graphio, oracle, params, scheme, sweep, witness
-from gjg.params import make_parameters
+from gjg.params import GraphClass, make_parameters
 from gjg.scheme import scheme_report
-from gjg.sweep import TripleResult, _check_report, check_triple
+from gjg.sweep import SweepConfig, TripleResult, _check_report, check_triple, run_sweep
 
 # Every module of the package; a fault is patched wherever its name is bound.
 MODULES = (gjg, cli, formulas, graphio, oracle, params, scheme, sweep, witness)
@@ -174,3 +178,101 @@ def test_float_ceiling_fault_misreads_a_large_odd_girth(monkeypatch):
     assert formulas.odd_girth(p) == 384307168202282327
     _patch_everywhere(monkeypatch, "ceil_div", lambda a, b: math.ceil(a / b))
     assert formulas.odd_girth(p) != 384307168202282327
+
+
+def _odd_girth_up_from_source_0(search):
+    def faulty(g, source):
+        found = search(g, source)
+        if source == 0 and g.n > 100 and found.odd_girth is not None:
+            return dataclasses.replace(found, odd_girth=found.odd_girth + 2)
+        return found
+    return faulty
+
+
+def _distances_one_short(search):
+    def faulty(g, source):
+        found = search(g, source)
+        return dataclasses.replace(found, dist=np.where(found.dist >= 3, found.dist - 1, found.dist))
+    return faulty
+
+
+def _matching_rows_reversed(build_graph):
+    def faulty(p, *args):
+        g = build_graph(p, *args)
+        if p.graph_class is not GraphClass.MATCHING:
+            return g
+        adj = g.adj[::-1].copy()
+        adj.flags.writeable = False
+        return dataclasses.replace(g, adj=adj)
+    return faulty
+
+
+# Faults in the graph side, each run through the sweep of v <= 12 (286
+# triples): (module, name, the fault made from the real function, how many
+# triples fail each category, complement failures, interface failures).
+# A name of the oracle is patched on the oracle alone: every module reads
+# it there, and undoing a patch of gjg's lazy name would leave a plain
+# attribute that no longer reads through to the oracle.  The class_size
+# fault is caught by the build's own degree check, which ends the triple
+# with an internal line, so no fault fails the degree tally.
+GRAPH_FAULTS = {
+    "odd girth + 2 from source 0 when n > 100": (
+        oracle, "search", _odd_girth_up_from_source_0, {"transitivity": 79}, 35, 0),
+    "rank 0 read as 1 when v >= 12": (
+        graphio, "rank", lambda rank: lambda p, s: 1 if p.v >= 12 and rank(p, s) == 0 else rank(p, s),
+        {"rank_roundtrip": 66, "common_neighbor": 20}, 0, 0),
+    "source_count returns 1": (
+        oracle, "source_count", lambda source_count: lambda p: 1, {"pair_sampling": 111}, 0, 0),
+    "distances >= 3 read one short": (
+        oracle, "search", _distances_one_short,
+        {"distance_profile": 56, "diameter": 56, "common_neighbor": 56, "witness": 34,
+         "lower_bound": 22, "max_route": 12}, 0, 0),
+    "a matching's rows in reverse order": (
+        oracle, "build_graph", _matching_rows_reversed,
+        {"matching": 6, "girth": 6, "odd_girth": 6, "distance_profile": 6, "diameter": 1}, 0, 2),
+    "delta + 1 on odd graphs with k >= 4": (
+        params, "delta", lambda delta: lambda p: delta(p) + (p.graph_class is GraphClass.ODD_GRAPH and p.k >= 4),
+        {c: 2 for c in ("odd_girth", "diameter", "distance_profile", "common_neighbor", "witness", "max_route")},
+        0, 0),
+    "class_size + 1 at x = 0": (
+        params, "class_size", lambda class_size: lambda p, x: class_size(p, x) + (x == 0),
+        {"internal": 36}, 30, 1),
+}
+
+
+def test_graph_faults_fail_their_categories_in_the_sweep():
+    # Seven sweeps, measured at about 3 s together on a 2-vCPU VM.
+    start = time.perf_counter()
+    caught = {}
+    for label, (module, name, fault, *_) in GRAPH_FAULTS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            if module is oracle:
+                mp.setattr(oracle, name, fault(getattr(oracle, name)))
+            else:
+                _patch_everywhere(mp, name, fault(getattr(module, name)))
+            outcome = run_sweep(SweepConfig(v_max=12))
+        assert len(outcome.results) == 286
+        # How many triples fail each category.
+        failed = Counter(c for r in outcome.results for c in {f.split(":")[0] for f in r.failures})
+        caught[label] = (dict(failed), len(outcome.complement_failures), len(outcome.interface_failures))
+    elapsed = time.perf_counter() - start
+    assert caught == {label: tuple(row[3:]) for label, row in GRAPH_FAULTS.items()}
+    assert elapsed < 20, f"{elapsed:.1f} s"
+
+
+def must_fail() -> dict[str, set[str]]:
+    """Every row of the three tables, by label: the categories its fault
+    must fail, read from the tables alone."""
+    rows = {label: {row[3]} for label, row in {**FORMULA_FAULTS, **WITNESS_FAULTS}.items()}
+    return rows | {label: set(row[3]) for label, row in GRAPH_FAULTS.items()}
+
+
+def tally_categories() -> frozenset:
+    """Every category the sweep of v <= 12 tallies, run with no fault."""
+    outcome = run_sweep(SweepConfig(v_max=12))
+    assert outcome.passed
+    return frozenset(c for r in outcome.results for c in r.checks)
+
+
+def test_every_tally_category_but_degree_has_a_row_that_must_fail_it():
+    assert tally_categories() - set().union(*must_fail().values()) == {"degree"}

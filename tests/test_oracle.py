@@ -674,7 +674,8 @@ class TestMeasurements:
 
 
 def test_sources_are_a_pure_function_of_the_triple():
-    # Ranks drawn by the seeded generator; sweep tallies depend on them.
+    # Ranks drawn by the seeded generator, the same in every process.  The
+    # sweep's tallies read only how many there are, oracle.source_count.
     ten = [0, 20, 16, 74, 43, 15, 121, 63, 98, 116]
     assert _sources(P(9, 4, 1)) == ten
     assert _sources(P(9, 4, 1)) == ten

@@ -61,6 +61,21 @@ def test_graph_block_reads_no_closed_form():
     assert named == set()
 
 
+def test_each_geodesic_and_closed_certificate_is_closed_once():
+    # Every geodesic ends through the one common-neighbour step in
+    # _geodesic, and one helper verifies each closed certificate.
+    tree = ast.parse(inspect.getsource(importlib.import_module("gjg.witness")))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callers(name):
+        return [f for f, node in functions.items() for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name]
+
+    assert callers("_common_neighbor").count("_geodesic") == 1
+    assert "_even_route" not in callers("_common_neighbor")
+    assert callers("verify_walk") == ["_verified"]
+
+
 def test_oracle_binds_no_intersection_range():
     # The oracle keys its classes by what it measures, never by the range
     # of possible intersection sizes.
