@@ -15,7 +15,7 @@ import sys
 
 from . import graphio, witness
 from .errors import GJGError
-from .formulas import invariant_report
+from .formulas import distance_by_intersection, invariant_report
 from .params import Parameters, delta, make_parameters, vertex
 
 EXIT_OK = 0
@@ -133,7 +133,10 @@ def cmd_invariants(args) -> int:
 def cmd_distance(args) -> int:
     p = make_parameters(args.v, args.k, args.i)
     a, b = _vertex_pair(p, args, "provide --x or both --a and --b")
-    print(graphio.format_value(invariant_report(p).distance_profile[len(set(a) & set(b))]))
+    x = len(set(a) & set(b))
+    # A degenerate triple has no distance function; its report reads 0 or infinite.
+    d = invariant_report(p).distance_profile[x] if p.is_degenerate else distance_by_intersection(p, x)
+    print(graphio.format_value(d))
     return _print_walk(p, lambda: witness.geodesic(p, a, b), "geodesic") if args.witness else EXIT_OK
 
 

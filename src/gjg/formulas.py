@@ -44,7 +44,7 @@ def girth(p: Parameters) -> int | None:
     3 when v >= 3(k-i); otherwise 4, except that (5,2,0) has girth 5 and
     the remaining (2k+1,k,0) triples have girth 6, read on normalize(p).
     """
-    if p.graph_class in (GraphClass.MATCHING, GraphClass.EDGELESS, GraphClass.EMPTY_VERTEX_SET):
+    if p.is_degenerate or p.graph_class is GraphClass.MATCHING:
         return None
     q = normalize(p)
     v, k, i = q.v, q.k, q.i
@@ -62,7 +62,7 @@ def odd_girth(p: Parameters) -> int | None:
 
     None for matchings and degenerate classes (bipartite or cycle-free).
     """
-    if p.graph_class in (GraphClass.MATCHING, GraphClass.EDGELESS, GraphClass.EMPTY_VERTEX_SET):
+    if p.is_degenerate or p.graph_class is GraphClass.MATCHING:
         return None
     return 2 * ceil_div(p.k - p.i, delta(p)) + 1
 

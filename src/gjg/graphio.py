@@ -33,22 +33,44 @@ def rank(p: Parameters, s: Sequence[int]) -> int:
     return sum(map(comb, vertex(p, s), range(1, p.k + 1)))
 
 
+_WALK = 16  # steps one level walks before it bisects, on ground sets larger than this
+
+
 def unrank(p: Parameters, r: int) -> tuple[int, ...]:
     """Inverse of rank: the k-subset with colex rank r, which must pass
     :func:`gjg.params.rank_index` (OutOfRange otherwise).
 
-    Walks c = C(e, j) down from C(v, k) by exact integer steps,
-    C(e-1, j) = C(e, j)(e-j)/e and C(e-1, j-1) = C(e, j) j/e, so no
-    binomial is recomputed.
+    Level j finds the largest e with C(e, j) <= r by walking c = C(e, j)
+    down by exact integer steps, C(e-1, j) = C(e, j)(e-j)/e and
+    C(e-1, j-1) = C(e, j) j/e, so no binomial is recomputed.  On a ground
+    set of more than _WALK elements a level whose walk runs past _WALK
+    steps bisects the rest on math.comb instead, so no level takes more
+    than _WALK steps and O(log v) binomials, at any v.
     """
     rank_index(p, r)
     v, k = p.v, p.k  # read once: a named-tuple field costs more than a local
     out = [0] * k
     e, c = v, comb(v, k)
+    far = v > _WALK  # only then can a level's walk run past _WALK steps
     for j in range(k, 0, -1):
-        while c > r:
-            c = c * (e - j) // e
-            e -= 1
+        if far:
+            stop = e - _WALK
+            while c > r and e > stop:
+                c = c * (e - j) // e
+                e -= 1
+            if c > r:  # bisect on [j-1, e): C(j-1, j) = 0 <= r < C(e, j)
+                lo = j - 1
+                while e - lo > 1:
+                    mid = (lo + e) // 2
+                    if comb(mid, j) > r:
+                        e = mid
+                    else:
+                        lo = mid
+                e, c = lo, comb(lo, j)
+        else:
+            while c > r:
+                c = c * (e - j) // e
+                e -= 1
         out[j - 1] = e
         r -= c
         if j > 1:  # e >= j - 1 >= 1 here

@@ -51,34 +51,31 @@ def quotient(p: Parameters) -> dict[tuple[int, int], int]:
 def scheme_report(p: Parameters) -> InvariantReport:
     """Profile, diameter, girth and odd girth read from ``quotient(p)``.
 
-    BFS over the classes from class k, the root's own, gives the level
-    of every class: its distance, INFINITE when unreached; the diameter
-    is the largest.  Girth by the oracle's level-set rule: at level t, a
-    class with at least two neighbours in level t-1 (t > 1) closes a
-    cycle of length 2t, a neighbour inside level t one of 2t+1, and the
-    first level with either decides, an even one winning.  The odd girth
-    is 2t+1 for the first level t with a neighbour inside it.  A
-    degenerate triple's all-zero quotient gives the closed forms' report
-    for it: one level, no cycle.
+    One BFS over the classes from class k, the root's own, as
+    ``oracle.search`` runs over vertices: each level's classes get its
+    distance t (INFINITE when never reached; the diameter is the
+    largest), and the level is tested as it is found.  Until the girth
+    is known, a class with at least two neighbours in level t-1 (t > 1)
+    closes a cycle of length 2t; until the odd girth is known, a
+    neighbour inside level t closes one of 2t+1.  The first level with
+    a candidate sets the girth, an even one winning, and the first with
+    a neighbour inside it the odd girth.  The next level is the
+    unreached classes with a neighbour in this one.  A degenerate
+    triple's all-zero quotient gives the closed forms' report for it:
+    one level, no cycle.
     """
     b = quotient(p)
-    classes = intersection_range(p)
-    levels = [[p.k]]
-    reached = {p.k}
-    while ahead := [y for y in classes if y not in reached and any(b[x, y] for x in levels[-1])]:
-        levels.append(ahead)
-        reached.update(ahead)
-    profile = {x: INFINITE for x in classes}
-    for t, level in enumerate(levels):
-        profile.update(dict.fromkeys(level, t))
+    profile = dict.fromkeys(intersection_range(p), INFINITE)
+    prev, level, t = [], [p.k], 0
     girth = odd_girth = None
-    for t, level in enumerate(levels):
-        inside = any(b[x, y] for x in level for y in level)
-        if girth is None:
-            if t > 1 and any(sum(b[x, y] for y in levels[t - 1]) >= 2 for x in level):
-                girth = 2 * t
-            elif inside:
-                girth = 2 * t + 1
-        if odd_girth is None and inside:
+    while level:
+        profile.update(dict.fromkeys(level, t))
+        even = girth is None and t > 1 and any(sum(b[x, y] for y in prev) >= 2 for x in level)
+        odd = odd_girth is None and any(b[x, y] for x in level for y in level)
+        if girth is None and (even or odd):
+            girth = 2 * t if even else 2 * t + 1
+        if odd:
             odd_girth = 2 * t + 1
+        prev, level, t = level, [y for y in profile if profile[y] == INFINITE
+                                 and any(b[x, y] for x in level)], t + 1
     return InvariantReport(p, girth, odd_girth, max(profile.values()), profile)

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import gjg.cli
 import gjg.graphio
 import gjg.oracle
 import gjg.sweep
@@ -109,6 +110,23 @@ class TestDistance:
                            "--x", "9")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("triple, x, want", [
+        ((10, 4, 2), "1", "2"),
+        ((6, 3, 0), "1", "infinite"),
+        ((7, 4, 2), "1", "2"),
+        ((9, 4, 0), "1", "3"),
+        ((10**6, 10**4, 1), "5", "2"),
+    ], ids=["standard", "matching", "v<2k", "kneser", "large"])
+    def test_reads_the_one_closed_form(self, capsys, monkeypatch, triple, x, want):
+        # A non-degenerate triple's distance needs no whole report.
+        def no_report(p):
+            raise AssertionError(f"invariant_report({p}) called")
+
+        monkeypatch.setattr(gjg.cli, "invariant_report", no_report)
+        v, k, i = map(str, triple)
+        code, out, err = run(capsys, "distance", "--v", v, "--k", k, "--i", i, "--x", x)
+        assert (code, out, err) == (0, want + "\n", "")
 
     @pytest.mark.parametrize("pair", [
         ["--x", "1", "--a", "0,1,2,9"],

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import timeit
 import tracemalloc
 from itertools import combinations
 
@@ -111,6 +113,7 @@ class TestRankAgainstReference:
             v = rnd.randint(13, 256)
             k = rnd.randint(0, v)
             triples.append((v, k, rnd.randint(0, k)))
+        triples += [(10**4, 1, 0), (10**4, 3, 0)]  # levels whose walk would run thousands of steps
         for v, k, i in triples:
             p = P(v, k, i)
             n = math.comb(v, k)
@@ -118,6 +121,42 @@ class TestRankAgainstReference:
                 s = unrank(p, r)
                 assert s == _reference_unrank(v, k, r)
                 assert rank(p, s) == _reference_rank(s) == r
+
+
+class TestUnrankAtAnyV:
+    # A colex rank below C(w, k) names the same subset at every v >= w, so
+    # the reference answers a small rank on a small ground set.  Each case
+    # has its own time bound: a walk of one e at a time took 1.1 s at
+    # v = 10^7 and never returns at v = 2^200.
+
+    def test_small_rank_at_ten_million(self):
+        p = P(10**7, 3, 0)
+        assert unrank(p, 5) == _reference_unrank(6, 3, 5) == (0, 2, 4)
+        best = min(timeit.repeat(lambda: unrank(p, 5), number=1, repeat=5))
+        assert best < 0.01, f"{best * 1e3:.2f} ms"
+
+    def test_rank_of_the_last_top_element_at_ten_million(self):
+        p = P(10**7, 3, 0)
+        r = math.comb(10**7 - 1, 3)
+        start = time.perf_counter()
+        s = unrank(p, r)
+        elapsed = time.perf_counter() - start
+        assert s == (0, 1, 10**7 - 1)
+        assert rank(p, s) == _reference_rank(s) == r
+        assert elapsed < 0.05, f"{elapsed:.3f} s"
+
+    def test_round_trip_at_two_to_the_200(self):
+        rnd = random.Random(200)
+        v = 2**200
+        start = time.perf_counter()
+        for k in range(9):
+            p = P(v, k, 0)
+            n = math.comb(v, k)
+            for r in {0, n - 1, math.comb(v // 2, k) % n, *(rnd.randrange(n) for _ in range(5))}:
+                s = unrank(p, r)  # rank checks that s is a vertex of p
+                assert rank(p, s) == _reference_rank(s) == r
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, f"{elapsed:.1f} s"
 
 
 # Labels cross a decimal width in 0-based or in 1-based form: n = 10

@@ -29,6 +29,18 @@ def test_matches_the_closed_forms_on_every_triple_up_to_32():
     assert elapsed < 8, f"{elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("v", [10**6, 2**200], ids=["1e6", "2^200"])
+def test_matches_the_closed_forms_at_huge_v(v):
+    # Every k <= 8 and i < k: the quotient has at most nine classes at any v.
+    start = time.perf_counter()
+    triples = [make_parameters(v, k, i) for k in range(1, 9) for i in range(k)]
+    assert len(triples) == 36
+    wrong = [p for p in triples if scheme_report(p) != invariant_report(p)]
+    elapsed = time.perf_counter() - start
+    assert wrong == []
+    assert elapsed < 2, f"{elapsed:.2f} s"
+
+
 def test_degenerate_triples_get_the_all_zero_quotient():
     # The report read from an all-zero quotient has the closed forms'
     # degenerate shape: one reached class, no cycle, and diameter 0 only
