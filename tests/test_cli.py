@@ -8,9 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import gjg.cli
+import gjg.compare
 import gjg.graphio
 import gjg.oracle
-import gjg.sweep
 import gjg.witness
 from gjg.cli import _build_parser, main
 
@@ -392,8 +392,8 @@ class TestVerify:
 
     def test_failed_triple_prints_its_messages(self, capsys, monkeypatch):
         # The closed-form girth of J(5,2,0) alone is wrong; the oracle measures 5.
-        real = gjg.sweep.invariant_report
-        monkeypatch.setattr(gjg.sweep, "invariant_report",
+        real = gjg.compare.invariant_report
+        monkeypatch.setattr(gjg.compare, "invariant_report",
                             lambda p: real(p)._replace(girth=9) if str(p) == "J(5,2,0)" else real(p))
         code, out, _ = run(capsys, "verify", "--v-max", "5")
         assert code == 1
@@ -403,7 +403,7 @@ class TestVerify:
 
     def test_failed_complement_prints_its_messages(self, capsys, monkeypatch):
         # Each lifted triple is compared with itself at a shift of 2k - v.
-        monkeypatch.setattr(gjg.sweep, "normalize", lambda p: p)
+        monkeypatch.setattr(gjg.compare, "normalize", lambda p: p)
         code, out, _ = run(capsys, "verify", "--v-max", "5")
         assert code == 1
         assert "FAIL" not in out

@@ -19,13 +19,14 @@ import numpy as np
 import pytest
 
 import gjg
-from gjg import cli, formulas, graphio, oracle, params, scheme, sweep, witness
+from gjg import cli, compare, formulas, graphio, oracle, params, scheme, sweep, witness
+from gjg.compare import TripleResult, check_report
 from gjg.params import GraphClass, make_parameters
 from gjg.scheme import scheme_report
-from gjg.sweep import SweepConfig, TripleResult, _check_report, check_triple, run_sweep
+from gjg.sweep import SweepConfig, check_triple, run_sweep
 
 # Every module of the package; a fault is patched wherever its name is bound.
-MODULES = (gjg, cli, formulas, graphio, oracle, params, scheme, sweep, witness)
+MODULES = (gjg, cli, compare, formulas, graphio, oracle, params, scheme, sweep, witness)
 
 
 def _patch_everywhere(monkeypatch, name: str, fault) -> None:
@@ -135,7 +136,7 @@ def _caught_on_the_quotient(monkeypatch, module, faults: dict) -> dict:
             for report in _quotients():
                 p = report.params
                 res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
-                _check_report(res, report, 1)
+                check_report(res, report, 1)
                 categories.update(f.split(":")[0] for f in res.failures)
                 if res.failures:
                     failed.add(res.triple)

@@ -33,15 +33,18 @@ def _imports(name: str) -> set[str]:
 
 # The spine of the design.  The ground truths (oracle, scheme) read no
 # closed form and no certificate, the certificates (witness) no closed form
-# and no ground truth, and the closed forms (formulas) neither of the other
-# two.  Where a module's whole import list is fixed, the row states it.
+# and no ground truth, the closed forms (formulas) neither of the other
+# two, and the report block (compare) no ground truth, so it loads no
+# numpy.  Where a module's whole import list is fixed, the row states it.
 @pytest.mark.parametrize("name, never, only", [
-    ("oracle", {"formulas", "witness", "graphio", "scheme"}, None),
-    ("scheme", {"formulas", "witness", "oracle"}, {"__future__", "math", "gjg.params", "gjg.errors"}),
+    ("oracle", {"formulas", "witness", "graphio", "scheme", "compare"}, None),
+    ("scheme", {"formulas", "witness", "oracle", "compare"}, {"__future__", "math", "gjg.params", "gjg.errors"}),
     ("witness", {"formulas", "oracle", "scheme", "sweep"},
      {"__future__", "enum", "typing", "gjg.params", "gjg.errors"}),
     ("formulas", {"witness", "oracle", "scheme"}, None),
-], ids=["oracle", "scheme", "witness", "formulas"])
+    ("compare", {"oracle", "scheme", "sweep"},
+     {"__future__", "dataclasses", "gjg.params", "gjg.formulas", "gjg.witness", "gjg.errors"}),
+], ids=["oracle", "scheme", "witness", "formulas", "compare"])
 def test_module_spine(name, never, only):
     pulled = _imports(name)
     assert not {m for m in pulled if m.startswith("gjg.") and m.split(".")[1] in never}, pulled
@@ -51,7 +54,8 @@ def test_module_spine(name, never, only):
 
 def test_graph_block_reads_no_closed_form():
     # The graph block checks the graph and the certificates against each
-    # other; only the report block compares with the closed forms.
+    # other; only the report block, defined in compare and not in sweep,
+    # compares with the closed forms.
     tree = ast.parse(inspect.getsource(importlib.import_module("gjg.sweep")))
     graph_block = {"_run_checks", "_check_common_neighbors", "_check_pairing", "_check_rank_roundtrip"}
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in graph_block]
@@ -59,6 +63,14 @@ def test_graph_block_reads_no_closed_form():
     named = {(f.name, node.id) for f in functions for node in ast.walk(f)
              if isinstance(node, ast.Name) and node.id in ("formulas", "invariant_report")}
     assert named == set()
+    # sweep defines none of the report block, by its names in compare or
+    # the private names three of them had in sweep.
+    report_block = {"TripleResult", "check", "raises", "check_report", "check_complements", "_compared",
+                    "_check_lower_bound", "_check_walk", "_check_witnesses", "_check_max_route",
+                    "_check_matching"}
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & (report_block | {"_check", "_raises", "_check_report"}) == set()
+    assert report_block <= vars(importlib.import_module("gjg.compare")).keys()
 
 
 def test_each_geodesic_and_closed_certificate_is_closed_once():
@@ -83,15 +95,16 @@ def test_oracle_binds_no_intersection_range():
 
 
 def test_sweep_reads_no_private_oracle_name():
-    # The oracle decides how it measures, its sources among it; the sweep
-    # asks only through public names.
+    # The oracle decides how it measures, its sources among it, and compare
+    # how it checks a report; the sweep asks both only through public names.
     tree = ast.parse(inspect.getsource(importlib.import_module("gjg.sweep")))
-    private = [node.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-               and node.value.id == "oracle" and node.attr.startswith("_")]
-    private += [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                and (node.module or "").endswith("oracle") for a in node.names if a.name.startswith("_")]
-    assert private == []
+    for module in ("oracle", "compare"):
+        private = [node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == module and node.attr.startswith("_")]
+        private += [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").endswith(module) for a in node.names if a.name.startswith("_")]
+        assert private == [], module
 
 
 def test_every_exported_name_resolves():

@@ -1,26 +1,22 @@
 import concurrent.futures
 import dataclasses
-import math
 import os
-import time
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import gjg.compare
 import gjg.formulas
 import gjg.oracle
-import gjg.sweep
 import gjg.witness
+from gjg.compare import TripleResult, check_complements, check_report
 from gjg.oracle import OracleReport, _sources, build_graph
 from gjg.params import make_parameters
 from gjg.scheme import scheme_report
 from gjg.sweep import (
     SweepConfig,
-    TripleResult,
     _check_pairing,
-    _check_report,
-    check_complements,
     check_interfaces,
     check_triple,
     run_sweep,
@@ -102,8 +98,8 @@ class TestCheckTriple:
         # measured report.  J(5,2,0) measures girth 5, odd girth 5, diameter 2
         # and profile {0: 1, 1: 2, 2: 0}; the matchings J(6,3,0) and J(8,4,0)
         # measure an infinite diameter and no girth.
-        real = gjg.sweep.invariant_report
-        monkeypatch.setattr(gjg.sweep, "invariant_report",
+        real = gjg.compare.invariant_report
+        monkeypatch.setattr(gjg.compare, "invariant_report",
                             lambda p: real(p)._replace(**{name: wrong}))
         r = check_triple(*triple)
         got = getattr(real(make_parameters(*triple)), name)
@@ -252,7 +248,7 @@ class TestCheckTriple:
     def test_detects_lower_bound_violation(self, monkeypatch):
         # delta(J(9,4,1)) is 3; at 1 the even bound at x = 2 needs a path of
         # length 4, while the graph measures 2.
-        monkeypatch.setattr(gjg.sweep, "delta", lambda p: 1)
+        monkeypatch.setattr(gjg.compare, "delta", lambda p: 1)
         r = check_triple(9, 4, 1)
         assert any(msg.startswith("lower_bound: x=2:") for msg in r.failures), r.failures
 
@@ -383,30 +379,38 @@ class TestCheckComplements:
         assert "no oracle report" in failures[0]
 
 
-def test_report_block_passes_the_quotient_up_to_32(monkeypatch):
+def test_report_block_passes_the_quotient_up_to_32(fresh):
     # The report block reads no graph, so the quotient's report passes it
     # on every non-degenerate triple with v <= 32, v < 2k and matchings
-    # included; each class stands for all of its pairs with the root.
-    # Measured at 1.4-1.5 s on a 2-vCPU VM.
-    def no_graph(*args):
-        raise AssertionError("the report block built a graph")
-
-    monkeypatch.setattr(gjg.oracle, "build_graph", no_graph)
-    start = time.perf_counter()
-    triples = [p for v in range(33) for k in range(v + 1) for i in range(k + 1)
-               if not (p := make_parameters(v, k, i)).is_degenerate]
-    assert len(triples) == 2856
-    failed, tallied = [], Counter()
-    for p in triples:
-        res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
-        _check_report(res, scheme_report(p), 1)
-        failed += res.failures
-        tallied.update(res.checks.keys())
-    elapsed = time.perf_counter() - start
-    assert failed == []
-    assert all(tallied[name] == 2856 for name in ("girth", "odd_girth", "diameter", "distance_profile"))
-    assert tallied["witness"] > 0 and tallied["max_route"] > 0 and tallied["lower_bound"] > 0
-    assert elapsed < 12, f"{elapsed:.1f} s"
+    # included; each class stands for all of its pairs with the root.  It
+    # runs in an interpreter where numpy cannot be imported, and loads
+    # neither numpy nor the oracle.  Measured at 1.4-1.5 s on a 2-vCPU VM.
+    code = '''
+import sys
+sys.modules["numpy"] = None
+import math, time
+from collections import Counter
+from gjg.compare import TripleResult, check_report
+from gjg.params import make_parameters
+from gjg.scheme import scheme_report
+start = time.perf_counter()
+triples = [p for v in range(33) for k in range(v + 1) for i in range(k + 1)
+           if not (p := make_parameters(v, k, i)).is_degenerate]
+failed, tallied = 0, Counter()
+for p in triples:
+    res = TripleResult(p.v, p.k, p.i, math.comb(p.v, p.k), p.graph_class.value)
+    check_report(res, scheme_report(p), 1)
+    failed += len(res.failures)
+    tallied.update(res.checks.keys())
+elapsed = time.perf_counter() - start
+loaded = [m for m in sys.modules if m.split(".")[0] == "numpy" and sys.modules[m] is not None]
+print(len(triples), failed, *(tallied[name] for name in ("girth", "odd_girth", "diameter", "distance_profile")),
+      min(tallied[name] for name in ("witness", "max_route", "lower_bound")) > 0,
+      loaded == [], "gjg.oracle" not in sys.modules, elapsed)
+'''
+    *got, elapsed = fresh(code)
+    assert got == ["2856", "0", "2856", "2856", "2856", "2856", "True", "True", "True"]
+    assert float(elapsed) < 12, f"{float(elapsed):.1f} s"
 
 
 def test_a_report_missing_a_class_fails_its_comparison_alone():
@@ -416,7 +420,7 @@ def test_a_report_missing_a_class_fails_its_comparison_alone():
     full = scheme_report(p)
     report = full._replace(distance_profile={x: d for x, d in full.distance_profile.items() if x != 2})
     res = TripleResult(9, 4, 1, 126, p.graph_class.value)
-    _check_report(res, report, 1)
+    check_report(res, report, 1)
     assert res.failures == [
         "distance_profile: formula {0: 3, 1: 1, 2: 2, 3: 2, 4: 0}, oracle {0: 3, 1: 1, 3: 2, 4: 0}"]
     assert res.checks["witness"] == 4 + 2 and res.checks["max_route"] == 1
