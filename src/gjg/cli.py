@@ -176,7 +176,7 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     # Only verify needs the sweep; importing it here keeps it out of every
     # other command's start-up.
-    from .sweep import SweepConfig, run_sweep, sweep_triples
+    from .sweep import SweepConfig, run_sweep
 
     try:
         cfg = SweepConfig(
@@ -186,10 +186,11 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise _ConfigError(str(exc))
-    if not sweep_triples(cfg):
+    outcome = run_sweep(cfg)
+    if not outcome.results:
+        # Only a budget below 2 empties the sweep, and it runs no probe either.
         print("warning: nothing verified (no triple fits the vertex budget)", file=sys.stderr)
         return EXIT_CONFIG
-    outcome = run_sweep(cfg)
     for r in outcome.results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} J({r.v},{r.k},{r.i}) class={r.graph_class} n={r.n} "

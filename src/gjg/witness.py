@@ -123,9 +123,9 @@ def _common_neighbor(p: Parameters, A: Sequence[int], B: Sequence[int]) -> Verte
     only_a, shared, only_b, outside = _split(p, A, B)
     k, i, x = p.k, p.i, len(shared)
     s = max(0, i + x - k, 2 * i - k)
-    if x < s or k - x < i - s or len(outside) < k - 2 * i + s:
-        raise NoCommonNeighbor(f"|A ∩ B| = {x} < max(k - delta, 2i - k) in {p}")
     picked = shared[:s] + only_a[: i - s] + only_b[: i - s] + outside[: k - 2 * i + s]
+    if len(picked) < k:  # a part ran short
+        raise NoCommonNeighbor(f"|A ∩ B| = {x} < max(k - delta, 2i - k) in {p}")
     return tuple(sorted(picked))
 
 
@@ -281,9 +281,12 @@ def odd_closed_walk(p: Parameters) -> Walk:
     A triangle where the canonical edge's ends have a common neighbor.
     Else odd graphs (2k+1,k,0) walk A -> B -> C -> A where the three sets
     pairwise intersect in (d, d, 0) elements for k = 2d or 2d+1, joined by
-    geodesics of length k each plus one edge; the others pick a third
-    vertex equidistant from both ends of an edge at distance
-    r = ceil((k-i)/delta) and glue the two geodesics.
+    geodesics of length k each plus one edge.  The others take one apex
+    at distance r = ceil((k-i)/delta) from both ends of the canonical
+    edge A, B and glue the two geodesics: a core (the outside of A ∪ B
+    when r is odd, A ∩ B when r is even) plus the floor half of a count
+    of private elements from A - B and the ceiling half from B - A, where
+    the count is k + i - delta around the outside and k - i around A ∩ B.
     """
     return _verified(p, _odd_closed_walk, "odd_closed_walk built an invalid walk")
 
@@ -298,21 +301,15 @@ def _odd_closed_walk(p: Parameters) -> Walk:
         vertices = (*triangle, triangle[0])
     elif p.graph_class is GraphClass.ODD_GRAPH:
         A, B, C = (tuple(range(s, s + k)) for s in (0, ceil_div(k, 2), k + k % 2))
-        vertices = geodesic(p, A, B).vertices + geodesic(p, B, C).vertices[1:] + (A,)
+        vertices = _geodesic(p, A, B).vertices + _geodesic(p, B, C).vertices[1:] + (A,)
     else:
         r = ceil_div(k - i, d)
         A, B = _canonical_adjacent_pair(p)
         only_a, shared, only_b, outside = _split(p, A, B)
-        if r % 2 == 1:
-            doubled = k + i - d  # target overlaps (floor, ceil) of (k+i-delta)/2
-            take_a, take_b = doubled // 2, doubled - doubled // 2
-        else:
-            doubled = k + i
-            take_a, take_b = doubled // 2 - i, doubled - doubled // 2 - i
-        core = outside if r % 2 == 1 else shared
-        apex = tuple(sorted(only_a[:take_a] + only_b[:take_b] + core))
-        leg_a = geodesic(p, A, apex)
-        leg_b = geodesic(p, B, apex)
+        private, core = (k + i - d, outside) if r % 2 else (k - i, shared)
+        apex = tuple(sorted(only_a[: private // 2] + only_b[: private - private // 2] + core))
+        leg_a = _geodesic(p, A, apex)
+        leg_b = _geodesic(p, B, apex)
         if not leg_a.claimed_length == leg_b.claimed_length == r:
             raise AssertionError(f"legs of length {leg_a.claimed_length} and "
                                  f"{leg_b.claimed_length}, expected {r}")

@@ -56,6 +56,8 @@ CASES = {
     "witness-oddwalk-9-6-4": ["witness", *_triple(9, 6, 4), "oddwalk"],
     "witness-geodesic-9-6-4": ["witness", *_triple(9, 6, 4), "geodesic",
                                "--a", "0,1,2,3,4,5", "--b", "3,4,5,6,7,8"],
+    "witness-oddwalk-8-4-1": ["witness", *_triple(8, 4, 1), "oddwalk"],
+    "witness-oddwalk-12-5-0": ["witness", *_triple(12, 5, 0), "oddwalk"],
     "witness-cycle-6-3-0": ["witness", *_triple(6, 3, 0), "cycle"],
     "witness-geodesic-6-3-0": ["witness", *_triple(6, 3, 0), "geodesic", "--x", "1"],
     "witness-cycle-6-4-1": ["witness", *_triple(6, 4, 1), "cycle"],

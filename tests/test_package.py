@@ -75,7 +75,9 @@ def test_graph_block_reads_no_closed_form():
 
 def test_each_geodesic_and_closed_certificate_is_closed_once():
     # Every geodesic ends through the one common-neighbour step in
-    # _geodesic, and one helper verifies each closed certificate.
+    # _geodesic, one helper verifies each closed certificate, and the
+    # constructions build their legs on the normalized triple they hold,
+    # never through the public geodesic that lifts its ends again.
     tree = ast.parse(inspect.getsource(importlib.import_module("gjg.witness")))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -86,6 +88,7 @@ def test_each_geodesic_and_closed_certificate_is_closed_once():
     assert callers("_common_neighbor").count("_geodesic") == 1
     assert "_even_route" not in callers("_common_neighbor")
     assert callers("verify_walk") == ["_verified"]
+    assert callers("geodesic") == []
 
 
 def test_oracle_binds_no_intersection_range():

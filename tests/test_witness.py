@@ -481,7 +481,7 @@ class TestSelfChecks:
          lambda: shortest_cycle(P(9, 4, 1)), "shortest_cycle built an invalid cycle for J(9,4,1)"),
         ("verify_walk", lambda real: lambda p, w: False,
          lambda: odd_closed_walk(P(9, 4, 1)), "odd_closed_walk built an invalid walk for J(9,4,1)"),
-        ("geodesic", _longer, lambda: odd_closed_walk(P(8, 4, 1)), "legs of length 3 and 3, expected 2"),
+        ("_geodesic", _longer, lambda: odd_closed_walk(P(8, 4, 1)), "legs of length 3 and 3, expected 2"),
     ], ids=["shortest_cycle", "odd_closed_walk", "odd_walk_legs"])
     def test_failed_check_raises(self, monkeypatch, name, skew, construct, message):
         monkeypatch.setattr(gjg.witness, name, skew(getattr(gjg.witness, name)))
